@@ -15,7 +15,7 @@ partial bounds only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -71,16 +71,7 @@ class BoundReport:
             raise ValueError("eps_c_partial does not reconstruct from its terms")
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_s": self.gamma_s,
-            "gamma_s_weighted": self.gamma_s_weighted,
-            "disc_overall": self.disc_overall,
-            "disc_weighted": self.disc_weighted,
-            "delta_c": self.delta_c,
-            "eps_g_partial": self.eps_g_partial,
-            "eps_c_partial": self.eps_c_partial,
-            "skipped_subdomains": self.skipped_subdomains,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

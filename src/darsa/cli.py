@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,14 +115,7 @@ def cmd_ot(args) -> int:
             )
             value, residual = plan.cost, plan.marginal_residual()
         else:
-            cost = ot.euclidean_cost_matrix(cloud_a, cloud_b)
-            plan, info = ot.sinkhorn(
-                cost,
-                np.full(len(cloud_a), 1.0 / len(cloud_a)),
-                np.full(len(cloud_b), 1.0 / len(cloud_b)),
-                reg=args.reg, max_iter=args.max_iter, tol=args.tol,
-                return_info=True,
-            )
+            plan, _, info = ot.uniform_plan(cloud_a, cloud_b, args.reg, args.max_iter, args.tol)
             value, residual, iterations = plan.cost, info.residual, info.iterations
     print(json.dumps({
         "method": method,
@@ -197,9 +191,9 @@ def cmd_train(args) -> int:
         experiment = json.load(fh)
     config = training.DarsaConfig.from_dict(experiment.get("darsa", {}))
     if args.seed is not None:
-        config = training.DarsaConfig.from_dict({**config.to_dict(), "seed": args.seed})
+        config = replace(config, seed=args.seed)
     if args.epochs is not None:
-        config = training.DarsaConfig.from_dict({**config.to_dict(), "epochs": args.epochs})
+        config = replace(config, epochs=args.epochs)
     task = experiment.get("task", {"name": "figure1"})
     if args.task is not None:
         task = {**task, "name": args.task}
@@ -217,9 +211,7 @@ def cmd_train(args) -> int:
         r for r in metrics.records
         if r.epoch % log_every == 0 or r.epoch == config.epochs
     ]
-    with (out / "metrics.jsonl").open("w") as fh:
-        for record in kept:
-            fh.write(json.dumps(record.to_json_obj()) + "\n")
+    (out / "metrics.jsonl").write_text(training.TrainMetrics(kept).to_jsonl())
     (out / "checkpoint.json").write_text(json.dumps(models.to_dict()) + "\n")
     _write_bound_csv(out / "bound_comparison.csv", [(r.epoch, r.bound) for r in kept])
 

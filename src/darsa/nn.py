@@ -10,7 +10,7 @@ the documented envelope approximation in the discrepancy loss.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -290,13 +290,7 @@ class LossBundle:
         return LossBundle(float(l_y), float(l_d), float(l_intra), float(l_inter), float(total))
 
     def to_dict(self) -> dict:
-        return {
-            "l_y": self.l_y,
-            "l_d": self.l_d,
-            "l_intra": self.l_intra,
-            "l_inter": self.l_inter,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -393,15 +387,7 @@ def loss_discrepancy_weighted(
             skipped.append(k)
             continue
         xs, xt = feat_s[idx_s], feat_t[idx_t]
-        cost = ot.euclidean_cost_matrix(xs, xt)
-        plan = ot.sinkhorn(
-            cost,
-            np.full(idx_s.size, 1.0 / idx_s.size),
-            np.full(idx_t.size, 1.0 / idx_t.size),
-            reg=ot.effective_reg(cost, reg, reg_mode),
-            max_iter=max_iter,
-            tol=tol,
-        )
+        plan, cost, _ = ot.uniform_plan(xs, xt, reg, max_iter, tol, reg_mode)
         weight = w_t[k]
         value += weight * plan.cost
         couplings[k] = plan.coupling

@@ -198,20 +198,15 @@ def euclidean_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def w1_exact_1d(samples_a, samples_b) -> float:
     """Exact Wasserstein-1 distance between two 1-D empirical distributions.
 
-    For equal sample counts this is the mean absolute difference of the
-    sorted samples. Unequal counts are resampled onto a common grid of
-    ``min(n, m)`` order-statistic quantiles first, which keeps the equal
-    count case exact and bounds the bias otherwise.
+    Integrates ``|F - G|`` between the two empirical CDFs over the merged
+    sorted samples, which is exact for any pair of sample counts.
     """
-    a = _as_samples(samples_a, "samples_a").reshape(-1)
-    b = _as_samples(samples_b, "samples_b").reshape(-1)
-    if a.size == b.size:
-        return float(np.abs(np.sort(a) - np.sort(b)).mean())
-    q = min(a.size, b.size)
-    levels = (np.arange(q) + 0.5) / q
-    qa = np.quantile(a, levels, method="inverted_cdf")
-    qb = np.quantile(b, levels, method="inverted_cdf")
-    return float(np.abs(qa - qb).mean())
+    a = np.sort(_as_samples(samples_a, "samples_a").reshape(-1))
+    b = np.sort(_as_samples(samples_b, "samples_b").reshape(-1))
+    grid = np.sort(np.concatenate([a, b]))
+    cdf_a = np.searchsorted(a, grid[:-1], side="right") / a.size
+    cdf_b = np.searchsorted(b, grid[:-1], side="right") / b.size
+    return float(np.sum(np.abs(cdf_a - cdf_b) * np.diff(grid)))
 
 
 def ot_exact_discrete(cost_matrix, a, b) -> TransportPlan:
@@ -375,6 +370,29 @@ def effective_reg(cost: np.ndarray, reg: float, reg_mode: str) -> float:
     return reg * scale
 
 
+def uniform_plan(x, y, reg: float, max_iter: int, tol: float, reg_mode: str = "absolute"):
+    """Entropic transport between two clouds under uniform marginals.
+
+    Builds the Euclidean cost matrix, resolves ``reg`` against it with
+    :func:`effective_reg` and solves from ``x`` (rows) to ``y`` (columns).
+    Returns ``(plan, cost, info)``: the :class:`TransportPlan`, the cost
+    matrix and the :class:`SinkhornInfo`. Raises
+    :class:`SinkhornDivergenceError` as :func:`sinkhorn` does.
+    """
+    cost = euclidean_cost_matrix(x, y)
+    n, m = cost.shape
+    plan, info = sinkhorn(
+        cost,
+        np.full(n, 1.0 / n),
+        np.full(m, 1.0 / m),
+        reg=effective_reg(cost, reg, reg_mode),
+        max_iter=max_iter,
+        tol=tol,
+        return_info=True,
+    )
+    return plan, cost, info
+
+
 def w1_empirical(
     x,
     y,
@@ -391,16 +409,9 @@ def w1_empirical(
     """
     x = np.atleast_2d(_as_samples(x, "x"))
     y = np.atleast_2d(_as_samples(y, "y"))
-    if x.shape[1] != y.shape[1]:
-        raise ValueError("dimension mismatch between clouds")
     if (y.shape, y.tobytes()) < (x.shape, x.tobytes()):
         x, y = y, x
-    cost = euclidean_cost_matrix(x, y)
-    a = np.full(x.shape[0], 1.0 / x.shape[0])
-    b = np.full(y.shape[0], 1.0 / y.shape[0])
-    plan = sinkhorn(
-        cost, a, b, reg=effective_reg(cost, reg, reg_mode), max_iter=max_iter, tol=tol
-    )
+    plan, _, _ = uniform_plan(x, y, reg, max_iter, tol, reg_mode)
     return plan.cost
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -84,44 +84,22 @@ class DarsaConfig:
             raise ValueError("sinkhorn_reg_mode must be 'absolute' or 'relative'")
         if self.weight_floor <= 0:
             raise ValueError("weight_floor must be positive")
+        if self.ratio_cap is not None and self.ratio_cap <= 0:
+            raise ValueError("ratio_cap must be positive")
         if self.snapshot_max < 2:
             raise ValueError("snapshot_max must be at least 2")
         object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
         object.__setattr__(self, "classifier_hidden", tuple(self.classifier_hidden))
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_y": self.lambda_y,
-            "lambda_d": self.lambda_d,
-            "lambda_c": self.lambda_c,
-            "lambda_a": self.lambda_a,
-            "margin": self.margin,
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "batch_size": self.batch_size,
-            "pretrain_epochs": self.pretrain_epochs,
-            "epochs": self.epochs,
-            "sinkhorn_reg": self.sinkhorn_reg,
-            "sinkhorn_tol": self.sinkhorn_tol,
-            "sinkhorn_max_iter": self.sinkhorn_max_iter,
-            "sinkhorn_reg_mode": self.sinkhorn_reg_mode,
-            "weight_floor": self.weight_floor,
-            "ratio_cap": self.ratio_cap,
-            "seed": self.seed,
-            "encoder_hidden": list(self.encoder_hidden),
-            "feature_dim": self.feature_dim,
-            "classifier_hidden": list(self.classifier_hidden),
-            "estimate_w_t": self.estimate_w_t,
-            "snapshot_max": self.snapshot_max,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(obj: dict) -> "DarsaConfig":
-        known = dict(obj)
-        for key in ("encoder_hidden", "classifier_hidden"):
-            if key in known:
-                known[key] = tuple(known[key])
-        return DarsaConfig(**known)
+        try:
+            return DarsaConfig(**obj)
+        except TypeError as exc:
+            raise ValueError(f"invalid darsa config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -357,18 +335,14 @@ def compute_step_gradients(
 
     l_inter = 0.0
     if config.lambda_a > 0:
-        masks_s = [yb_s == c for c in range(k)]
-        masks_t = [pseudo == c for c in range(k)]
-        inter = nn.loss_inter(
-            [feat_s[m] for m in masks_s], [feat_t[m] for m in masks_t]
-        )
+        rows_s = [np.flatnonzero(yb_s == c) for c in range(k)]
+        rows_t = [np.flatnonzero(pseudo == c) for c in range(k)]
+        inter = nn.loss_inter([feat_s[r] for r in rows_s], [feat_t[r] for r in rows_t])
         l_inter = inter.value
         skipped += len(inter.skipped)
         for c in range(k):
-            if masks_s[c].any():
-                d_feat_s[masks_s[c]] += config.lambda_a * inter.grads_source[c]
-            if masks_t[c].any():
-                d_feat_t[masks_t[c]] += config.lambda_a * inter.grads_target[c]
+            d_feat_s[rows_s[c]] += config.lambda_a * inter.grads_source[c]
+            d_feat_t[rows_t[c]] += config.lambda_a * inter.grads_target[c]
 
     bp_es = nn.backward(encoder_s, cache_es, d_feat_s)
     bp_et = nn.backward(encoder_t, cache_et, d_feat_t)

@@ -57,12 +57,3 @@ class ClassWeights:
             raise ValueError(f"label outside 0..{k - 1}")
         counts = np.bincount(labels, minlength=k).astype(float)
         return ClassWeights(counts / counts.sum())
-
-    @staticmethod
-    def normalized(raw: np.ndarray) -> "ClassWeights":
-        """Project a nonnegative vector onto the simplex by rescaling."""
-        raw = np.asarray(raw, dtype=float).reshape(-1)
-        total = float(raw.sum())
-        if total <= 0:
-            raise ValueError("cannot normalize a zero vector")
-        return ClassWeights(raw / total)

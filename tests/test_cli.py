@@ -265,6 +265,21 @@ def test_train_failure_exit_code(tmp_path, capsys):
     assert "epoch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"unknown_key": 1}, "invalid darsa config"),
+        ({"epochs": "3"}, "invalid darsa config"),
+        ({"ratio_cap": -1}, "ratio_cap must be positive"),
+    ],
+)
+def test_train_bad_config_value_exits_two(tmp_path, capsys, bad, message):
+    config = _train_config(tmp_path, darsa=bad)
+    assert main(["train", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
 def test_train_missing_config(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "absent.json")])
     assert code == 2

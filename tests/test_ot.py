@@ -69,6 +69,16 @@ def test_w1_exact_1d_unequal_lengths_symmetric():
     assert w1_exact_1d(a, a[:20]) >= 0.0
 
 
+@pytest.mark.parametrize("n, m, seed", [(3, 2, 0), (7, 4, 1), (5, 12, 2)])
+def test_w1_exact_1d_matches_lp_for_unequal_counts(n, m, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=n), rng.normal(size=m)
+    plan = ot_exact_discrete(
+        np.abs(a[:, None] - b[None, :]), np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    )
+    assert w1_exact_1d(a, b) == pytest.approx(plan.cost, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # ot_exact_discrete
 # ---------------------------------------------------------------------------
@@ -242,7 +252,7 @@ def test_w1_empirical_triangle_inequality_1d():
         dxy = w1_empirical(x, y, reg=0.01, max_iter=20000, tol=1e-6)
         dyz = w1_empirical(y, z, reg=0.01, max_iter=20000, tol=1e-6)
         assert dxz <= dxy + dyz + slack
-        # The quantile oracle is an exact metric on sorted samples.
+        # The exact 1-D oracle is a metric.
         assert w1_exact_1d(x.ravel(), z.ravel()) <= (
             w1_exact_1d(x.ravel(), y.ravel()) + w1_exact_1d(y.ravel(), z.ravel()) + 1e-12
         )

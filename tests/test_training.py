@@ -53,6 +53,10 @@ def test_config_validation():
         DarsaConfig(momentum=1.0)
     with pytest.raises(ValueError, match="reg_mode"):
         DarsaConfig(sinkhorn_reg_mode="adaptive")
+    with pytest.raises(ValueError, match="ratio_cap"):
+        DarsaConfig(ratio_cap=0.0)
+    with pytest.raises(ValueError, match="invalid darsa config"):
+        DarsaConfig.from_dict({"epochs": "3"})
 
 
 # ---------------------------------------------------------------------------
