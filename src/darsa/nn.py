@@ -220,7 +220,8 @@ def sgd_momentum_step(
     """One SGD-with-momentum update: v <- mu v + g, theta <- theta - lr v.
 
     Returns a new parameter object and the new velocity state. Raises
-    :class:`GradientBlowupError` on any non-finite gradient.
+    :class:`GradientBlowupError` on any non-finite gradient; an update that
+    overflows is rejected by :class:`Layer` with ``ValueError``.
     """
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must be in [0, 1)")
@@ -232,9 +233,6 @@ def sgd_momentum_step(
         v_b = momentum * v_b + g_b
         weight = layer.weight - lr * v_w
         bias = layer.bias - lr * v_b
-        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
-            # Finite gradient, overflowing update: same failure mode.
-            raise GradientBlowupError(idx)
         new_layers.append(Layer(weight, bias, layer.activation))
         new_velocity.append((v_w, v_b))
     return NetworkParams(tuple(new_layers)), new_velocity
@@ -293,23 +291,24 @@ class LossBundle:
         return asdict(self)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def _nll_and_grad(logits, labels):
+    """Per-sample negative log-likelihoods and their unscaled logit gradients."""
+    logits = np.atleast_2d(np.asarray(logits, dtype=float))
+    labels = np.asarray(labels, dtype=int).reshape(-1)
+    rows = np.arange(logits.shape[0])
+    if labels.size != rows.size:
+        raise ValueError("labels do not match the batch")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    grad = np.exp(log_probs)
+    grad[rows, labels] -= 1.0
+    return -log_probs[rows, labels], grad
 
 
 def cross_entropy(logits, labels) -> LossValue:
     """Mean cross-entropy over a batch, with the gradient w.r.t. logits."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    labels = np.asarray(labels, dtype=int).reshape(-1)
-    n = logits.shape[0]
-    if labels.size != n:
-        raise ValueError("labels do not match the batch")
-    log_probs = _log_softmax(logits)
-    value = float(-log_probs[np.arange(n), labels].mean())
-    grad = np.exp(log_probs)
-    grad[np.arange(n), labels] -= 1.0
-    return LossValue(value, grad / n)
+    nll, grad = _nll_and_grad(logits, labels)
+    return LossValue(float(nll.mean()), grad / nll.size)
 
 
 def loss_classification_weighted(
@@ -327,25 +326,17 @@ def loss_classification_weighted(
     more attention. ``ratio_cap`` optionally bounds the ratio to keep the
     variance of the reweighted loss in check when a source class is rare.
     """
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    labels = np.asarray(labels, dtype=int).reshape(-1)
-    n = logits.shape[0]
-    if labels.size != n:
-        raise ValueError("labels do not match the batch")
-    if w_t.k != w_s.k or logits.shape[1] != w_s.k:
+    nll, grad = _nll_and_grad(logits, labels)
+    if w_t.k != w_s.k or grad.shape[1] != w_s.k:
         raise ValueError("class weight length does not match the logits")
     if np.any(w_s.w < weight_floor):
         raise ValueError("degenerate source weight")
     ratios = w_t.w / w_s.w
     if ratio_cap is not None:
         ratios = np.minimum(ratios, ratio_cap)
-    sample_ratio = ratios[labels]
-    log_probs = _log_softmax(logits)
-    value = float((-log_probs[np.arange(n), labels] * sample_ratio).mean())
-    grad = np.exp(log_probs)
-    grad[np.arange(n), labels] -= 1.0
-    grad *= sample_ratio[:, None] / n
-    return LossValue(value, grad)
+    sample_ratio = ratios[np.asarray(labels, dtype=int).reshape(-1)]
+    grad *= sample_ratio[:, None] / nll.size
+    return LossValue(float((nll * sample_ratio).mean()), grad)
 
 
 def loss_discrepancy_weighted(

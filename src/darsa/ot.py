@@ -1,8 +1,9 @@
 """Optimal-transport distances.
 
-Exact small-scale solvers, a log-domain Sinkhorn solver for entropic
-regularized transport, Gaussian closed forms, and the mixture-level
-Wasserstein distance used to compare sub-domain decompositions.
+Exact small-scale solvers, a stabilized scaling (log-domain absorption)
+Sinkhorn solver for entropic regularized transport, Gaussian closed forms,
+and the mixture-level Wasserstein distance used to compare sub-domain
+decompositions.
 
 Conventions
 -----------
@@ -31,6 +32,7 @@ from .weights import ClassWeights
 
 MARGINAL_TOL = 1e-9
 PSD_TOL = 1e-9
+SCALING_BOUND = 1e20  # sinkhorn absorbs a scaling once |log u| or |log v| > 46
 
 
 class SinkhornDivergenceError(RuntimeError):
@@ -263,11 +265,14 @@ def sinkhorn(
     tol: float = 1e-6,
     return_info: bool = False,
 ):
-    """Entropic-regularized optimal transport via log-domain scaling.
+    """Entropic-regularized optimal transport via stabilized scaling.
 
-    Alternates the two scaling updates on the dual potentials until the L1
+    Alternates ``u = a / (K v)`` and ``v = b / (K^T u)`` until the L1
     marginal violation drops below ``tol`` or ``max_iter`` sweeps elapse.
-    Working in the log domain keeps the iteration stable for small ``reg``.
+    A scaling that leaves ``[1/SCALING_BOUND, SCALING_BOUND]`` is absorbed
+    into the log-domain potentials of ``K = exp(f + -C/reg + g)`` and ``K``
+    rebuilt (log-domain absorption; Schmitzer, SISC 2019), which keeps the
+    iteration stable for small ``reg``.
 
     Returns the coupling as a :class:`TransportPlan`; the reported cost is
     the transport cost of that coupling, excluding the entropy term. With
@@ -291,61 +296,65 @@ def sinkhorn(
     b = _check_marginal(b, m, "b")
 
     # Zero-mass atoms receive zero plan rows/columns; solve the reduced
-    # problem to keep the log-domain updates free of -inf arithmetic.
+    # problem so that every scaling and potential stays finite.
     rows = np.flatnonzero(a > 0)
     cols = np.flatnonzero(b > 0)
+    full = rows.size == n and cols.size == m
+    cost_r = cost if full else cost[np.ix_(rows, cols)]
     a_r, b_r = a[rows], b[cols]
-    scaled = -cost[np.ix_(rows, cols)] / reg
-    log_a, log_b = np.log(a_r), np.log(b_r)
 
-    # Inner loop hand-rolls logsumexp into one reused buffer; the solver
-    # dominates training time, so allocation churn matters here.
-    buf = np.empty_like(scaled)
-    tmp = np.empty_like(scaled)
+    # One log-domain sweep sets the potentials: the kernel's column sums are
+    # then b and its row sums at least a_i * min(b), whatever C/reg is.
+    kernel = np.divide(cost_r, -reg)
+    peak = kernel.max(axis=1)
+    kernel -= peak[:, None]
+    f = np.log(a_r) - peak - np.log(np.exp(kernel, out=kernel).sum(axis=1))
+    np.divide(cost_r, -reg, out=kernel)
+    kernel += f[:, None]
+    peak = kernel.max(axis=0)
+    kernel -= peak
+    col_sums = np.exp(kernel, out=kernel).sum(axis=0)
+    g = np.log(b_r) - peak - np.log(col_sums)
+    kernel *= b_r / col_sums
 
-    def _lse(vec, axis):
-        np.add(scaled, vec[None, :] if axis == 1 else vec[:, None], out=buf)
-        peak = buf.max(axis=axis)
-        np.subtract(buf, peak[:, None] if axis == 1 else peak[None, :], out=tmp)
-        np.exp(tmp, out=tmp)
-        return peak + np.log(tmp.sum(axis=axis))
-
-    u = np.zeros(rows.size)
-    v = np.zeros(cols.size)
-    iterations = 0
-    residual = np.inf
+    u, v = np.ones(rows.size), np.ones(cols.size)
+    iterations = 1
     converged = False
-    for _ in range(max_iter):
-        lse_rows = _lse(v, axis=1)
-        if iterations > 0:
-            # Row sums of the previous sweep's plan; columns are exact
-            # after each v-update, so this is the full L1 violation.
-            residual = float(np.abs(np.exp(u + lse_rows) - a_r).sum())
-            if residual <= tol:
-                converged = True
-                break
-        u = log_a - lse_rows
-        v = log_b - _lse(u, axis=0)
+    while iterations < max_iter:
+        kv = kernel @ v
+        # Row sums of the current plan; columns are exact after each
+        # v-update, so this is the full L1 violation.
+        residual = float(np.abs(u * kv - a_r).sum())
+        if residual <= tol:
+            converged = True
+            break
+        u = a_r / kv
+        v = b_r / (kernel.T @ u)
         iterations += 1
+        if max(u.max(), v.max(), 1.0 / u.min(), 1.0 / v.min()) > SCALING_BOUND:
+            f += np.log(u)
+            g += np.log(v)
+            np.divide(cost_r, -reg, out=kernel)
+            kernel += f[:, None]
+            np.exp(np.add(kernel, g, out=kernel), out=kernel)
+            u, v = np.ones(rows.size), np.ones(cols.size)
 
-    log_plan = u[:, None] + scaled + v[None, :]
-    plan_r = np.exp(log_plan)
-    if not converged:
-        residual = float(
-            np.abs(plan_r.sum(axis=1) - a_r).sum()
-            + np.abs(plan_r.sum(axis=0) - b_r).sum()
-        )
-        if residual > 100 * tol:
-            raise SinkhornDivergenceError(residual, iterations)
-
-    coupling = np.zeros((n, m))
-    coupling[np.ix_(rows, cols)] = plan_r
+    kernel *= u[:, None]
+    kernel *= v
+    coupling = kernel
+    if not full:
+        coupling = np.zeros((n, m))
+        coupling[np.ix_(rows, cols)] = kernel
     plan = TransportPlan(
         coupling=coupling,
         row_marginal=a,
         col_marginal=b,
         cost=float(np.sum(coupling * cost)),
     )
+    if not converged:
+        residual = plan.marginal_residual()
+        if residual > 100 * tol:
+            raise SinkhornDivergenceError(residual, iterations)
     if return_info:
         return plan, SinkhornInfo(iterations, residual, converged)
     return plan

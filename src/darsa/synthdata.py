@@ -155,14 +155,9 @@ def _grid_means(k: int, d: int, separation: float) -> np.ndarray:
     the pairwise separation is at least ``separation``.
     """
     side = int(np.ceil(k ** (1.0 / d)))
-    points = []
-    for flat in range(k):
-        coords, rem = [], flat
-        for _ in range(d):
-            coords.append(rem % side)
-            rem //= side
-        points.append(coords)
-    return separation * np.asarray(points, dtype=float)
+    # Base-``side`` digits of 0..K-1, least significant first.
+    digits = np.unravel_index(np.arange(k), (side,) * d)[::-1]
+    return separation * np.stack(digits, axis=1).astype(float)
 
 
 def _paired_distance_audit(source: "Dataset", target: "Dataset", rng) -> bool:

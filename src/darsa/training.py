@@ -13,8 +13,9 @@ within a step.
 from __future__ import annotations
 
 import json
+import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,16 @@ class TrainingError(RuntimeError):
         self.epoch = int(epoch)
         self.batch = int(batch)
         super().__init__(f"training failed at epoch {epoch}, batch {batch}: {cause}")
+
+
+# Accepted types of a config field, by its annotation.
+_CONFIG_KINDS = {"float": numbers.Real, "int": numbers.Integral, "bool": bool, "str": str,
+                 "tuple": (tuple, list)}
+
+
+def _has_kind(value, kind: str) -> bool:
+    """Whether a config value fits its annotation; a bool is no number."""
+    return isinstance(value, _CONFIG_KINDS[kind]) and isinstance(value, bool) == (kind == "bool")
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,16 @@ class DarsaConfig:
     snapshot_max: int = 512
 
     def __post_init__(self):
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            ok = _has_kind(value, fld.type) or (fld.name == "ratio_cap" and value is None)
+            if ok and fld.type == "tuple":
+                ok = all(_has_kind(width, "int") and width >= 1 for width in value)
+                object.__setattr__(self, fld.name, tuple(value))
+            if not ok:
+                raise ValueError(
+                    f"invalid darsa config: {fld.name} must be {fld.type}, got {value!r}"
+                )
         if min(self.lambda_y, self.lambda_d, self.lambda_c, self.lambda_a) < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.margin <= 0 or self.lr <= 0:
@@ -88,8 +109,6 @@ class DarsaConfig:
             raise ValueError("ratio_cap must be positive")
         if self.snapshot_max < 2:
             raise ValueError("snapshot_max must be at least 2")
-        object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
-        object.__setattr__(self, "classifier_hidden", tuple(self.classifier_hidden))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -109,20 +128,12 @@ class DarsaModels:
     classifier: nn.NetworkParams
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": nn.CHECKPOINT_FORMAT_VERSION,
-            "encoder_s": self.encoder_s.to_dict(),
-            "encoder_t": self.encoder_t.to_dict(),
-            "classifier": self.classifier.to_dict(),
-        }
+        nets = {fld.name: getattr(self, fld.name).to_dict() for fld in fields(self)}
+        return {"format_version": nn.CHECKPOINT_FORMAT_VERSION, **nets}
 
     @staticmethod
     def from_dict(obj: dict) -> "DarsaModels":
-        return DarsaModels(
-            nn.NetworkParams.from_dict(obj["encoder_s"]),
-            nn.NetworkParams.from_dict(obj["encoder_t"]),
-            nn.NetworkParams.from_dict(obj["classifier"]),
-        )
+        return DarsaModels(*(nn.NetworkParams.from_dict(obj[f.name]) for f in fields(DarsaModels)))
 
 
 @dataclass(frozen=True)
@@ -139,15 +150,9 @@ class EpochRecord:
     def to_json_obj(self) -> dict:
         # Wall-clock seconds are deliberately left out: metrics files must
         # be byte-identical across reruns with the same config and seed.
-        return {
-            "epoch": self.epoch,
-            "losses": self.losses.to_dict(),
-            "w_t": self.w_t.tolist(),
-            "source_accuracy": self.source_accuracy,
-            "target_accuracy": self.target_accuracy,
-            "bound": self.bound.to_dict(),
-            "skipped_pairs": self.skipped_pairs,
-        }
+        obj = asdict(self)
+        del obj["seconds"]
+        return {**obj, "w_t": self.w_t.tolist()}
 
 
 @dataclass

@@ -271,6 +271,9 @@ def test_train_failure_exit_code(tmp_path, capsys):
         ({"unknown_key": 1}, "invalid darsa config"),
         ({"epochs": "3"}, "invalid darsa config"),
         ({"ratio_cap": -1}, "ratio_cap must be positive"),
+        ({"seed": "3"}, "invalid darsa config: seed must be int"),
+        ({"encoder_hidden": "32"}, "invalid darsa config: encoder_hidden must be tuple"),
+        ({"estimate_w_t": "no"}, "invalid darsa config: estimate_w_t must be bool"),
     ],
 )
 def test_train_bad_config_value_exits_two(tmp_path, capsys, bad, message):

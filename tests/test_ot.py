@@ -1,8 +1,13 @@
 """Tests for the optimal-transport solvers and Gaussian-mixture distances."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.special import logsumexp
 
 from darsa.ot import (
     GaussianComponent,
@@ -204,6 +209,88 @@ def test_sinkhorn_divergence_error():
     with pytest.raises(SinkhornDivergenceError) as excinfo:
         sinkhorn(cost, a, a, reg=0.001, max_iter=1, tol=1e-12)
     assert excinfo.value.residual > 0.0
+
+
+def _log_domain_sinkhorn(cost, a, b, reg, max_iter, tol):
+    """Reference: the same sweeps, residual and stopping rule, run entirely
+    on log-domain potentials. Returns ``(cost, iterations, residual,
+    converged)`` or raises :class:`SinkhornDivergenceError`."""
+    rows, cols = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
+    scaled = -cost[np.ix_(rows, cols)] / reg
+    log_a, log_b = np.log(a[rows]), np.log(b[cols])
+    f, g = np.zeros(rows.size), np.zeros(cols.size)
+    iterations, converged = 0, False
+    for _ in range(max_iter):
+        lse_rows = logsumexp(scaled + g[None, :], axis=1)
+        if iterations > 0:
+            residual = float(np.abs(np.exp(f + lse_rows) - a[rows]).sum())
+            if residual <= tol:
+                converged = True
+                break
+        f = log_a - lse_rows
+        g = log_b - logsumexp(scaled + f[:, None], axis=0)
+        iterations += 1
+    plan = np.exp(f[:, None] + scaled + g[None, :])
+    if not converged:
+        residual = float(
+            np.abs(plan.sum(axis=1) - a[rows]).sum() + np.abs(plan.sum(axis=0) - b[cols]).sum()
+        )
+        if residual > 100 * tol:
+            raise SinkhornDivergenceError(residual, iterations)
+    return float(np.sum(plan * cost[np.ix_(rows, cols)])), iterations, residual, converged
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except SinkhornDivergenceError as exc:
+        return ("diverged", exc.iterations)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3]),
+    log_ratio=st.floats(-1.0, 4.0),
+    log_tol=st.floats(-9.0, -3.0),
+    max_iter=st.integers(1, 2000),
+)
+def test_sinkhorn_matches_log_domain_reference(
+    n, m, seed, zero_share, log_ratio, log_tol, max_iter
+):
+    # Random clouds and marginals with zero-mass atoms, at C/reg from 0.1
+    # up to 1e4, where the stabilized scaling must absorb its scalings.
+    rng = np.random.default_rng(seed)
+    cost = euclidean_cost_matrix(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)) + rng.normal())
+    a = rng.random(n) * (rng.random(n) >= zero_share)
+    b = rng.random(m) * (rng.random(m) >= zero_share)
+    a[rng.integers(n)] += 0.1
+    b[rng.integers(m)] += 0.1
+    a, b = a / a.sum(), b / b.sum()
+    reg = max(float(cost.max()), 1e-3) / 10.0**log_ratio
+    tol = 10.0**log_tol
+
+    def solve():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plan, info = sinkhorn(cost, a, b, reg, max_iter=max_iter, tol=tol, return_info=True)
+        return plan.cost, info.iterations, info.residual, info.converged, plan
+
+    got = _outcome(solve)
+    want = _outcome(lambda: _log_domain_sinkhorn(cost, a, b, reg, max_iter, tol))
+    if want[0] == "diverged":
+        assert got == want
+        return
+    assert got[0] != "diverged", got
+    cost_got, iterations, residual, converged, plan = got
+    cost_want, iterations_want, _, converged_want = want
+    assert (iterations, converged) == (iterations_want, converged_want)
+    assert cost_got == pytest.approx(cost_want, rel=1e-9, abs=1e-12)
+    if converged:
+        assert residual <= tol
+        assert plan.marginal_residual() <= tol + 1e-12
 
 
 # ---------------------------------------------------------------------------
