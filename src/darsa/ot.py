@@ -1,7 +1,7 @@
 """Optimal-transport distances.
 
-Exact small-scale solvers, a stabilized scaling (log-domain absorption)
-Sinkhorn solver for entropic regularized transport, Gaussian closed forms,
+Exact small-scale solvers, a Sinkhorn solver for entropic regularized
+transport (stabilized scaling with ε-scaling), Gaussian closed forms,
 and the mixture-level Wasserstein distance used to compare sub-domain
 decompositions.
 
@@ -33,6 +33,9 @@ from .weights import ClassWeights
 MARGINAL_TOL = 1e-9
 PSD_TOL = 1e-9
 SCALING_BOUND = 1e20  # sinkhorn absorbs a scaling once |log u| or |log v| > 46
+EPS_FACTOR = 4  # sinkhorn's ε-scaling divides reg by this from stage to stage,
+EPS_START = 64  # starting at the smallest such reg with max(C)/reg at most this;
+STAGE_TOL = 1e-2  # an intermediate stage stops at this L1 residual
 
 
 class SinkhornDivergenceError(RuntimeError):
@@ -265,7 +268,8 @@ def sinkhorn(
     tol: float = 1e-6,
     return_info: bool = False,
 ):
-    """Entropic-regularized optimal transport via stabilized scaling.
+    """Entropic-regularized optimal transport via stabilized scaling with
+    ε-scaling.
 
     Alternates ``u = a / (K v)`` and ``v = b / (K^T u)`` until the L1
     marginal violation drops below ``tol`` or ``max_iter`` sweeps elapse.
@@ -273,6 +277,17 @@ def sinkhorn(
     into the log-domain potentials of ``K = exp(f + -C/reg + g)`` and ``K``
     rebuilt (log-domain absorption; Schmitzer, SISC 2019), which keeps the
     iteration stable for small ``reg``.
+
+    When ``max(C)/reg`` exceeds ``EPS_START``, the solve is annealed
+    (ε-scaling; Schmitzer 2019, Feydy et al. 2019): it starts at
+    ``reg * EPS_FACTOR**s``, the smallest such reg with ``max(C)/reg`` at
+    most ``EPS_START``, and divides reg by ``EPS_FACTOR`` per stage down to
+    ``reg``, each stage warm-started from the previous stage's potentials.
+    An intermediate stage stops at residual ``max(tol, STAGE_TOL)``. The
+    stages share the ``max_iter`` budget: ``SinkhornInfo.iterations`` counts
+    every sweep of every stage, each stage's opening log-domain sweep
+    included, and never exceeds ``max_iter``. ``residual`` and
+    ``converged`` describe the final stage, at ``reg``.
 
     Returns the coupling as a :class:`TransportPlan`; the reported cost is
     the transport cost of that coupling, excluding the entropy term. With
@@ -303,41 +318,62 @@ def sinkhorn(
     cost_r = cost if full else cost[np.ix_(rows, cols)]
     a_r, b_r = a[rows], b[cols]
 
-    # One log-domain sweep sets the potentials: the kernel's column sums are
-    # then b and its row sums at least a_i * min(b), whatever C/reg is.
-    kernel = np.divide(cost_r, -reg)
-    peak = kernel.max(axis=1)
-    kernel -= peak[:, None]
-    f = np.log(a_r) - peak - np.log(np.exp(kernel, out=kernel).sum(axis=1))
-    np.divide(cost_r, -reg, out=kernel)
-    kernel += f[:, None]
-    peak = kernel.max(axis=0)
-    kernel -= peak
-    col_sums = np.exp(kernel, out=kernel).sum(axis=0)
-    g = np.log(b_r) - peak - np.log(col_sums)
-    kernel *= b_r / col_sums
+    # ε-scaling: solve first at reg * EPS_FACTOR**stages, where C/reg is at
+    # most EPS_START, then anneal toward reg, each stage starting from the
+    # previous stage's potentials. Every stage needs its opening sweep, so
+    # the schedule is cut to fit max_iter.
+    stages = 0
+    top = float(cost_r.max())
+    while top > EPS_START * reg * EPS_FACTOR**stages and stages < max_iter - 1:
+        stages += 1
 
-    u, v = np.ones(rows.size), np.ones(cols.size)
-    iterations = 1
-    converged = False
-    while iterations < max_iter:
-        kv = kernel @ v
-        # Row sums of the current plan; columns are exact after each
-        # v-update, so this is the full L1 violation.
-        residual = float(np.abs(u * kv - a_r).sum())
-        if residual <= tol:
-            converged = True
-            break
-        u = a_r / kv
-        v = b_r / (kernel.T @ u)
+    f, g = np.zeros(rows.size), np.zeros(cols.size)
+    kernel = np.empty_like(cost_r)
+    iterations = 0
+    for stage in range(stages, -1, -1):
+        stage_reg = reg * EPS_FACTOR**stage
+        stage_tol = max(tol, STAGE_TOL) if stage else tol
+        # One log-domain sweep sets the potentials: the kernel's column sums
+        # are then b and its row sums at least a_i * min(b), whatever C/reg is.
+        np.divide(cost_r, -stage_reg, out=kernel)
+        kernel += g
+        peak = kernel.max(axis=1)
+        kernel -= peak[:, None]
+        f = np.log(a_r) - peak - np.log(np.exp(kernel, out=kernel).sum(axis=1))
+        np.divide(cost_r, -stage_reg, out=kernel)
+        kernel += f[:, None]
+        peak = kernel.max(axis=0)
+        kernel -= peak
+        col_sums = np.exp(kernel, out=kernel).sum(axis=0)
+        g = np.log(b_r) - peak - np.log(col_sums)
+        kernel *= b_r / col_sums
         iterations += 1
-        if max(u.max(), v.max(), 1.0 / u.min(), 1.0 / v.min()) > SCALING_BOUND:
-            f += np.log(u)
-            g += np.log(v)
-            np.divide(cost_r, -reg, out=kernel)
-            kernel += f[:, None]
-            np.exp(np.add(kernel, g, out=kernel), out=kernel)
-            u, v = np.ones(rows.size), np.ones(cols.size)
+
+        u, v = np.ones(rows.size), np.ones(cols.size)
+        converged = False
+        # Leave one sweep for the opening of each stage still to come.
+        while iterations < max_iter - stage:
+            kv = kernel @ v
+            # Row sums of the current plan; columns are exact after each
+            # v-update, so this is the full L1 violation.
+            residual = float(np.abs(u * kv - a_r).sum())
+            if residual <= stage_tol:
+                converged = True
+                break
+            u = a_r / kv
+            v = b_r / (kernel.T @ u)
+            iterations += 1
+            if max(u.max(), v.max(), 1.0 / u.min(), 1.0 / v.min()) > SCALING_BOUND:
+                f += np.log(u)
+                g += np.log(v)
+                np.divide(cost_r, -stage_reg, out=kernel)
+                kernel += f[:, None]
+                np.exp(np.add(kernel, g, out=kernel), out=kernel)
+                u, v = np.ones(rows.size), np.ones(cols.size)
+        if stage:
+            # The potentials are in units of the stage's reg.
+            f = (f + np.log(u)) * EPS_FACTOR
+            g = (g + np.log(v)) * EPS_FACTOR
 
     kernel *= u[:, None]
     kernel *= v

@@ -315,7 +315,7 @@ def compute_step_gradients(
 
     l_d = 0.0
     couplings = {}
-    skipped = 0
+    skipped = set()
     if config.lambda_d > 0:
         disc = nn.loss_discrepancy_weighted(
             feat_s, yb_s, feat_t, pseudo, w_t,
@@ -326,7 +326,7 @@ def compute_step_gradients(
         )
         l_d = disc.value
         couplings = disc.couplings
-        skipped += len(disc.skipped)
+        skipped.update(disc.skipped)
         d_feat_s += config.lambda_d * disc.grad_source
         d_feat_t += config.lambda_d * disc.grad_target
 
@@ -344,7 +344,7 @@ def compute_step_gradients(
         rows_t = [np.flatnonzero(pseudo == c) for c in range(k)]
         inter = nn.loss_inter([feat_s[r] for r in rows_s], [feat_t[r] for r in rows_t])
         l_inter = inter.value
-        skipped += len(inter.skipped)
+        skipped.update(inter.skipped)
         for c in range(k):
             d_feat_s[rows_s[c]] += config.lambda_a * inter.grads_source[c]
             d_feat_t[rows_t[c]] += config.lambda_a * inter.grads_target[c]
@@ -357,7 +357,7 @@ def compute_step_gradients(
     )
     return StepGradients(
         bp_cls.param_grads, bp_es.param_grads, bp_et.param_grads,
-        bundle, pseudo, feat_s, feat_t, couplings, skipped,
+        bundle, pseudo, feat_s, feat_t, couplings, len(skipped),
     )
 
 

@@ -4,12 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 from darsa.ot import (
+    EPS_FACTOR,
+    EPS_START,
+    STAGE_TOL,
     GaussianComponent,
     GaussianMixture,
     SinkhornDivergenceError,
@@ -212,24 +215,36 @@ def test_sinkhorn_divergence_error():
 
 
 def _log_domain_sinkhorn(cost, a, b, reg, max_iter, tol):
-    """Reference: the same sweeps, residual and stopping rule, run entirely
-    on log-domain potentials. Returns ``(cost, iterations, residual,
-    converged)`` or raises :class:`SinkhornDivergenceError`."""
+    """Reference: the same ε-scaling schedule, sweeps, residual and stopping
+    rule, run entirely on log-domain potentials. Returns ``(cost,
+    iterations, residual, converged)`` or raises
+    :class:`SinkhornDivergenceError`."""
     rows, cols = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
-    scaled = -cost[np.ix_(rows, cols)] / reg
+    cost_r = cost[np.ix_(rows, cols)]
     log_a, log_b = np.log(a[rows]), np.log(b[cols])
+    ratio = float(cost_r.max()) / (EPS_START * reg)
+    stages = int(np.ceil(np.log(ratio) / np.log(EPS_FACTOR))) if ratio > 1 else 0
+    stages = min(stages, max_iter - 1)
     f, g = np.zeros(rows.size), np.zeros(cols.size)
-    iterations, converged = 0, False
-    for _ in range(max_iter):
-        lse_rows = logsumexp(scaled + g[None, :], axis=1)
-        if iterations > 0:
-            residual = float(np.abs(np.exp(f + lse_rows) - a[rows]).sum())
-            if residual <= tol:
-                converged = True
-                break
-        f = log_a - lse_rows
-        g = log_b - logsumexp(scaled + f[:, None], axis=0)
-        iterations += 1
+    iterations = 0
+    for stage in range(stages, -1, -1):
+        scaled = -cost_r / (reg * EPS_FACTOR**stage)
+        stage_tol = max(tol, STAGE_TOL) if stage else tol
+        # Every stage still to come needs its opening sweep.
+        budget = max_iter - stage - iterations
+        converged = False
+        for sweep in range(budget):
+            lse_rows = logsumexp(scaled + g[None, :], axis=1)
+            if sweep > 0:
+                residual = float(np.abs(np.exp(f + lse_rows) - a[rows]).sum())
+                if residual <= stage_tol:
+                    converged = True
+                    break
+            f = log_a - lse_rows
+            g = log_b - logsumexp(scaled + f[:, None], axis=0)
+            iterations += 1
+        if stage:
+            f, g = f * EPS_FACTOR, g * EPS_FACTOR
     plan = np.exp(f[:, None] + scaled + g[None, :])
     if not converged:
         residual = float(
@@ -237,7 +252,7 @@ def _log_domain_sinkhorn(cost, a, b, reg, max_iter, tol):
         )
         if residual > 100 * tol:
             raise SinkhornDivergenceError(residual, iterations)
-    return float(np.sum(plan * cost[np.ix_(rows, cols)])), iterations, residual, converged
+    return float(np.sum(plan * cost_r)), iterations, residual, converged
 
 
 def _outcome(solve):
@@ -257,6 +272,8 @@ def _outcome(solve):
     log_tol=st.floats(-9.0, -3.0),
     max_iter=st.integers(1, 2000),
 )
+# A budget too small for every ε-scaling stage's opening sweep.
+@example(n=5, m=5, seed=0, zero_share=0.0, log_ratio=4.0, log_tol=-6.0, max_iter=3)
 def test_sinkhorn_matches_log_domain_reference(
     n, m, seed, zero_share, log_ratio, log_tol, max_iter
 ):
@@ -287,10 +304,41 @@ def test_sinkhorn_matches_log_domain_reference(
     cost_got, iterations, residual, converged, plan = got
     cost_want, iterations_want, _, converged_want = want
     assert (iterations, converged) == (iterations_want, converged_want)
+    assert iterations <= max_iter
     assert cost_got == pytest.approx(cost_want, rel=1e-9, abs=1e-12)
     if converged:
         assert residual <= tol
         assert plan.marginal_residual() <= tol + 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 20),
+    m=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    log_ratio=st.floats(0.0, 3.0),
+    log_tol=st.floats(-6.0, -3.0),
+)
+def test_sinkhorn_approaches_lp_as_reg_shrinks(n, m, seed, log_ratio, log_tol):
+    # The entropic plan is optimal for its own marginals, whose L1 distance
+    # to (a, b) is at most tol, and its entropy lies in [0, log(n m)], so
+    # its transport cost is the LP's up to reg * log(n m) above. C/reg runs
+    # up to 1e3, where the solve anneals through ε-scaling stages.
+    rng = np.random.default_rng(seed)
+    cost = euclidean_cost_matrix(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)) + rng.normal())
+    a = rng.random(n) + 0.05
+    b = rng.random(m) + 0.05
+    a, b = a / a.sum(), b / b.sum()
+    top = max(float(cost.max()), 1e-3)
+    reg = top / 10.0**log_ratio
+    tol = 10.0**log_tol
+    try:
+        plan = sinkhorn(cost, a, b, reg, max_iter=5000, tol=tol)
+    except SinkhornDivergenceError:
+        return
+    lp = ot_exact_discrete(cost, a, b).cost
+    slack = tol * top
+    assert lp - slack <= plan.cost <= lp + reg * np.log(n * m) + slack
 
 
 # ---------------------------------------------------------------------------

@@ -342,3 +342,21 @@ def test_target_encoder_gradient_scope():
     for layer, (d_weight, d_bias) in zip(encoder_t.layers, step.grads_encoder_t):
         assert max_rel_error(d_weight, fd_gradient(alignment_objective, layer.weight)) <= 1e-4
         assert max_rel_error(d_bias, fd_gradient(alignment_objective, layer.bias)) <= 1e-4
+
+
+def test_skipped_pairs_counts_each_class_once():
+    # Source labels {0, 1}, every target pseudo-label 2: each of the three
+    # classes misses a side in both the discrepancy and the inter loss, and
+    # is still counted once.
+    config = DarsaConfig(**QUICK, seed=5)
+    rng = np.random.default_rng(config.seed)
+    encoder, _ = default_networks(2, 3, config, rng)
+    classifier = nn.NetworkParams(
+        (nn.Layer(np.zeros((3, config.feature_dim)), np.array([0.0, 0.0, 1.0]), "identity"),)
+    )
+    xb_s, xb_t = rng.normal(size=(12, 2)), rng.normal(size=(10, 2))
+    yb_s = np.arange(12) % 2
+    w = ClassWeights(np.full(3, 1.0 / 3))
+    step = compute_step_gradients(encoder, encoder, classifier, xb_s, yb_s, xb_t, w, w, config)
+    assert (step.pseudo_labels == 2).all()
+    assert step.skipped_pairs == 3
