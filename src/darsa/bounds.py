@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import ot
-from .weights import ClassWeights
+from .weights import ClassWeights, class_rows
 
 EXACT_TOL = 1e-12
 
@@ -109,12 +109,11 @@ def subdomain_risks(predictions, labels, partition: SubdomainPartition) -> Subdo
         raise ValueError("partition does not cover the samples")
     risks = np.zeros(partition.k)
     skipped = []
-    for k in range(partition.k):
-        mask = partition.assignments == k
-        if not mask.any():
+    for k, rows in enumerate(class_rows(partition.assignments, partition.k)):
+        if rows.size == 0:
             skipped.append(k)
             continue
-        risks[k] = float(np.mean(predictions[mask] != labels[mask]))
+        risks[k] = float(np.mean(predictions[rows] != labels[rows]))
     return SubdomainRisks(risks, tuple(skipped))
 
 
@@ -156,7 +155,7 @@ def split_by_class(features: np.ndarray, labels: np.ndarray, k: int) -> list:
     labels = np.asarray(labels, dtype=int).reshape(-1)
     if labels.size != features.shape[0]:
         raise ValueError("labels do not cover the feature rows")
-    return [features[labels == c] for c in range(k)]
+    return [features[rows] for rows in class_rows(labels, k)]
 
 
 def bound_report(

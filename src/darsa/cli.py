@@ -243,15 +243,16 @@ def cmd_figure1(args) -> int:
     parts_s = bounds.split_by_class(source.features, source.labels, 2)
     parts_t = bounds.split_by_class(target.features, target.labels, 2)
     w_t = target.class_proportions()
-    paired = [
-        ot.w1_empirical(parts_s[k], parts_t[k], reg=args.reg, max_iter=args.max_iter, tol=args.tol)
-        for k in range(2)
-    ]
+    weighted = ot.weighted_subdomain_w1(
+        parts_s, parts_t, w_t, reg=args.reg, max_iter=args.max_iter, tol=args.tol
+    )
+    if weighted.skipped:
+        raise ValueError(f"cluster {weighted.skipped[0]} is empty in one domain")
+    paired, weighted_sum = weighted.per_class, weighted.value
     overall = ot.w1_empirical(
         source.features, target.features, reg=args.reg, max_iter=args.max_iter, tol=args.tol
     )
     slack = bounds.delta_c(parts_s + parts_t)
-    weighted_sum = float(sum(w_t[k] * paired[k] for k in range(2)))
     holds = bool(weighted_sum <= overall + slack)
     out = _out_dir(args)
     with (out / "figure1.csv").open("w", newline="") as fh:

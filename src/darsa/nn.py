@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import ot
-from .weights import ClassWeights
+from .weights import ClassWeights, class_rows
 
 ACTIVATIONS = ("relu", "leaky-relu", "softplus", "identity")
 LEAKY_SLOPE = 0.01
@@ -362,18 +362,16 @@ def loss_discrepancy_weighted(
     """
     feat_s = np.atleast_2d(np.asarray(feat_s, dtype=float))
     feat_t = np.atleast_2d(np.asarray(feat_t, dtype=float))
-    labels_s = np.asarray(labels_s, dtype=int).reshape(-1)
-    pseudo_t = np.asarray(pseudo_t, dtype=int).reshape(-1)
     if feat_s.shape[1] != feat_t.shape[1]:
         raise ValueError("feature spaces differ in dimension")
+    rows_s = class_rows(labels_s, w_t.k)
+    rows_t = class_rows(pseudo_t, w_t.k)
     value = 0.0
     grad_s = np.zeros_like(feat_s)
     grad_t = np.zeros_like(feat_t)
     skipped = []
     couplings = {}
-    for k in range(w_t.k):
-        idx_s = np.flatnonzero(labels_s == k)
-        idx_t = np.flatnonzero(pseudo_t == k)
+    for k, (idx_s, idx_t) in enumerate(zip(rows_s, rows_t)):
         if idx_s.size == 0 or idx_t.size == 0:
             skipped.append(k)
             continue

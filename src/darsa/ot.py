@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
-from .weights import ClassWeights
+from .weights import ClassWeights, class_rows
 
 MARGINAL_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -161,6 +161,7 @@ class SinkhornInfo(NamedTuple):
 class WeightedSubdomainW1(NamedTuple):
     value: float
     skipped: tuple
+    per_class: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +461,16 @@ def w1_empirical(
     return plan.cost
 
 
+def w1_matrix(clouds_a, clouds_b, reg, max_iter, tol, reg_mode="absolute") -> np.ndarray:
+    """:func:`w1_empirical` from every cloud of ``clouds_a`` (rows) to every
+    cloud of ``clouds_b`` (columns), solved row by row."""
+    dist = np.zeros((len(clouds_a), len(clouds_b)))
+    for i, x in enumerate(clouds_a):
+        for j, y in enumerate(clouds_b):
+            dist[i, j] = w1_empirical(x, y, reg, max_iter, tol, reg_mode)
+    return dist
+
+
 # ---------------------------------------------------------------------------
 # Gaussian closed forms and mixtures
 # ---------------------------------------------------------------------------
@@ -517,10 +528,9 @@ def sample_gmm(mix: GaussianMixture, n: int, seed: int):
     rng = np.random.default_rng(seed)
     labels = rng.choice(mix.k, size=n, p=mix.weights.w)
     samples = np.zeros((n, mix.dim))
-    for k in range(mix.k):
-        idx = np.flatnonzero(labels == k)
+    for comp, idx in zip(mix.components, class_rows(labels, mix.k)):
         if idx.size:
-            samples[idx] = sample_gaussian(mix.components[k], idx.size, rng)
+            samples[idx] = sample_gaussian(comp, idx.size, rng)
     return samples, labels
 
 
@@ -543,25 +553,16 @@ def pairwise_component_w1(
     """
     if mix_s.dim != mix_t.dim:
         raise ValueError("dimension mismatch between mixtures")
-    ks, kt = mix_s.k, mix_t.k
-    dist = np.zeros((ks, kt))
     if pairwise == "analytic":
-        for i in range(ks):
-            for j in range(kt):
-                dist[i, j] = gaussian_w2(mix_s.components[i], mix_t.components[j])
-    elif pairwise == "sampled":
+        return np.array(
+            [[gaussian_w2(p, q) for q in mix_t.components] for p in mix_s.components]
+        )
+    if pairwise == "sampled":
         rng = np.random.default_rng(seed)
         clouds_s = [sample_gaussian(c, n_samples, rng) for c in mix_s.components]
         clouds_t = [sample_gaussian(c, n_samples, rng) for c in mix_t.components]
-        for i in range(ks):
-            for j in range(kt):
-                dist[i, j] = w1_empirical(
-                    clouds_s[i], clouds_t[j], reg=reg, max_iter=max_iter, tol=tol,
-                    reg_mode=reg_mode,
-                )
-    else:
-        raise ValueError(f"unknown pairwise mode {pairwise!r}")
-    return dist
+        return w1_matrix(clouds_s, clouds_t, reg, max_iter, tol, reg_mode)
+    raise ValueError(f"unknown pairwise mode {pairwise!r}")
 
 
 def mw1_gmm(
@@ -607,10 +608,11 @@ def weighted_subdomain_w1(
 ) -> WeightedSubdomainW1:
     """Target-reweighted sum of paired per-sub-domain W1 estimates.
 
-    Computes ``sum_k w_t[k] * W1(source_parts[k], target_parts[k])``. A pair
-    with an empty side contributes zero and its index is reported in
-    ``skipped``; minibatches under label shift routinely miss classes, so
-    this is not an error unless every pair is empty.
+    Computes ``sum_k w_t[k] * W1(source_parts[k], target_parts[k])``, summed
+    in class order, and reports each paired W1 in ``per_class``. A pair with
+    an empty side contributes zero, has 0.0 in ``per_class`` and its index
+    is reported in ``skipped``; minibatches under label shift routinely
+    miss classes, so this is not an error unless every pair is empty.
     """
     if len(source_parts) != len(target_parts):
         raise ValueError("source and target part lists differ in length")
@@ -618,15 +620,17 @@ def weighted_subdomain_w1(
         raise ValueError("weights do not match the number of sub-domains")
     total = 0.0
     skipped = []
+    per_class = [0.0] * w_t.k
     for k, (xs, xt) in enumerate(zip(source_parts, target_parts)):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         xt = np.atleast_2d(np.asarray(xt, dtype=float))
         if xs.size == 0 or xt.size == 0:
             skipped.append(k)
             continue
-        total += w_t[k] * w1_empirical(
+        per_class[k] = w1_empirical(
             xs, xt, reg=reg, max_iter=max_iter, tol=tol, reg_mode=reg_mode
         )
+        total += w_t[k] * per_class[k]
     if len(skipped) == len(source_parts):
         raise ValueError("no aligned sub-domains")
-    return WeightedSubdomainW1(float(total), tuple(skipped))
+    return WeightedSubdomainW1(float(total), tuple(skipped), tuple(per_class))

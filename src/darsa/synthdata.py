@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ot
-from .weights import ClassWeights
+from .weights import ClassWeights, class_rows
 
 # Figure-one style task: two unit-weight-shifted Gaussians per domain.
 FIGURE1_SOURCE_MEANS = (-1.5, 1.5)
@@ -163,8 +163,8 @@ def _grid_means(k: int, d: int, separation: float) -> np.ndarray:
 def _paired_distance_audit(source: "Dataset", target: "Dataset", rng) -> bool:
     """Check per-class cross-domain W1 is smallest on the paired class."""
     k = source.k
-    parts_s = [source.features[source.labels == c] for c in range(k)]
-    parts_t = [target.features[target.labels == c] for c in range(k)]
+    parts_s = [source.features[r] for r in class_rows(source.labels, k)]
+    parts_t = [target.features[r] for r in class_rows(target.labels, k)]
     if any(p.shape[0] == 0 for p in parts_s + parts_t):
         return False
 
@@ -175,12 +175,7 @@ def _paired_distance_audit(source: "Dataset", target: "Dataset", rng) -> bool:
 
     parts_s = [sub(p) for p in parts_s]
     parts_t = [sub(p) for p in parts_t]
-    dist = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            dist[i, j] = ot.w1_empirical(
-                parts_s[i], parts_t[j], reg=0.05, max_iter=2000, tol=1e-5
-            )
+    dist = ot.w1_matrix(parts_s, parts_t, reg=0.05, max_iter=2000, tol=1e-5)
     for i in range(k):
         others = np.delete(dist[i], i)
         if others.size and dist[i, i] > others.min():
@@ -251,11 +246,10 @@ def resample_with_props(data: Dataset, props: ClassWeights, n: int, seed: int) -
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
     chunks_x, chunks_y = [], []
-    for c in range(data.k):
+    for c, pool in enumerate(class_rows(data.labels, data.k)):
         count = int(round(n * props[c]))
         if count == 0:
             continue
-        pool = np.flatnonzero(data.labels == c)
         if pool.size == 0:
             raise ValueError(f"required class {c} absent from the dataset")
         picks = rng.choice(pool, size=count, replace=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, nn, ot
 from .synthdata import Dataset
-from .weights import ClassWeights
+from .weights import ClassWeights, class_rows
 
 
 class TrainingError(RuntimeError):
@@ -174,10 +174,6 @@ class StepGradients(NamedTuple):
     grads_encoder_s: list
     grads_encoder_t: list
     bundle: nn.LossBundle
-    pseudo_labels: np.ndarray
-    feat_s: np.ndarray
-    feat_t: np.ndarray
-    couplings: dict
     skipped_pairs: int
 
 
@@ -314,7 +310,6 @@ def compute_step_gradients(
     d_feat_t = np.zeros_like(feat_t)
 
     l_d = 0.0
-    couplings = {}
     skipped = set()
     if config.lambda_d > 0:
         disc = nn.loss_discrepancy_weighted(
@@ -325,7 +320,6 @@ def compute_step_gradients(
             reg_mode=config.sinkhorn_reg_mode,
         )
         l_d = disc.value
-        couplings = disc.couplings
         skipped.update(disc.skipped)
         d_feat_s += config.lambda_d * disc.grad_source
         d_feat_t += config.lambda_d * disc.grad_target
@@ -340,8 +334,8 @@ def compute_step_gradients(
 
     l_inter = 0.0
     if config.lambda_a > 0:
-        rows_s = [np.flatnonzero(yb_s == c) for c in range(k)]
-        rows_t = [np.flatnonzero(pseudo == c) for c in range(k)]
+        rows_s = class_rows(yb_s, k)
+        rows_t = class_rows(pseudo, k)
         inter = nn.loss_inter([feat_s[r] for r in rows_s], [feat_t[r] for r in rows_t])
         l_inter = inter.value
         skipped.update(inter.skipped)
@@ -357,7 +351,7 @@ def compute_step_gradients(
     )
     return StepGradients(
         bp_cls.param_grads, bp_es.param_grads, bp_et.param_grads,
-        bundle, pseudo, feat_s, feat_t, couplings, len(skipped),
+        bundle, len(skipped),
     )
 
 

@@ -16,6 +16,15 @@ import numpy as np
 SIMPLEX_TOL = 1e-9
 
 
+def class_rows(labels, k: int) -> list:
+    """Indices of the rows labelled ``c``, in order, for each ``c`` in
+    ``0..k-1`` (possibly empty). A label outside ``0..k-1`` raises."""
+    labels = np.asarray(labels, dtype=int).reshape(-1)
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"label outside 0..{k - 1}")
+    return [np.flatnonzero(labels == c) for c in range(k)]
+
+
 @dataclass(frozen=True)
 class ClassWeights:
     """A point on the (K-1)-simplex: nonnegative entries summing to one."""
@@ -50,10 +59,7 @@ class ClassWeights:
     @staticmethod
     def from_labels(labels: np.ndarray, k: int) -> "ClassWeights":
         """Empirical class proportions of an integer label vector."""
-        labels = np.asarray(labels, dtype=int)
-        if labels.size == 0:
+        if np.size(labels) == 0:
             raise ValueError("empty label vector")
-        if labels.min() < 0 or labels.max() >= k:
-            raise ValueError(f"label outside 0..{k - 1}")
-        counts = np.bincount(labels, minlength=k).astype(float)
+        counts = np.array([rows.size for rows in class_rows(labels, k)], dtype=float)
         return ClassWeights(counts / counts.sum())

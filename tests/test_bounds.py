@@ -15,6 +15,7 @@ from darsa.bounds import (
     split_by_class,
     subdomain_risks,
 )
+from darsa.nn import loss_discrepancy_weighted
 from darsa.ot import w1_exact_1d
 from darsa.synthdata import make_figure1_task
 from darsa.weights import ClassWeights
@@ -235,3 +236,27 @@ def test_split_by_class():
     assert np.array_equal(parts[0], feats[[1]])
     assert np.array_equal(parts[1], feats[[0, 2, 3]])
     assert parts[2].shape == (0, 2)
+
+
+@pytest.mark.parametrize("bad_label", [2, -1])
+@pytest.mark.parametrize("call", ["bound_report", "split_by_class", "loss_discrepancy_weighted"])
+def test_label_outside_classes_raises(call, bad_label):
+    # A pseudo-label outside 0..K-1 belongs to no sub-domain; it must raise
+    # rather than drop its rows from every per-class term.
+    rng = np.random.default_rng(6)
+    feat_s, feat_t = rng.normal(size=(40, 2)), rng.normal(size=(40, 2))
+    labels = np.arange(40) % 2
+    pseudo = labels.copy()
+    pseudo[:10] = bad_label
+    w_t = ClassWeights(np.array([0.5, 0.5]))
+    calls = {
+        "bound_report": lambda: bound_report(
+            feat_s, labels, labels, feat_t, pseudo, w_t, reg=0.05
+        ),
+        "split_by_class": lambda: split_by_class(feat_t, pseudo, 2),
+        "loss_discrepancy_weighted": lambda: loss_discrepancy_weighted(
+            feat_s, labels, feat_t, pseudo, w_t
+        ),
+    }
+    with pytest.raises(ValueError, match="label outside 0..1"):
+        calls[call]()

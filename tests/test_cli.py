@@ -329,6 +329,13 @@ def test_figure1_sigma_guard(capsys):
     assert main(["figure1", "--sigma", "0"]) == 2
 
 
+def test_figure1_empty_cluster_exits_two(tmp_path, capsys):
+    # Three samples per domain at seed 0 leave cluster 1 empty on one side;
+    # the diagnostic needs every paired W1, so it is an input error.
+    assert main(["figure1", "--n", "3", "--seed", "0", "--out", str(tmp_path)]) == 2
+    assert "cluster 1 is empty" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------

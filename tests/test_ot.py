@@ -25,6 +25,7 @@ from darsa.ot import (
     sinkhorn,
     w1_empirical,
     w1_exact_1d,
+    w1_matrix,
     weighted_subdomain_w1,
 )
 from darsa.weights import ClassWeights
@@ -369,11 +370,30 @@ def test_w1_empirical_matches_1d_oracle():
         assert abs(est - w1_exact_1d(a.ravel(), b.ravel())) <= 0.05
 
 
-def test_w1_empirical_exactly_symmetric():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(30, 2))
-    y = rng.normal(size=(45, 2)) + 0.7
-    assert w1_empirical(x, y) == w1_empirical(y, x)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    reg_mode=st.sampled_from(["absolute", "relative"]),
+)
+@example(n=30, m=45, d=2, seed=11, reg_mode="absolute")
+@example(n=8, m=36, d=1, seed=166, reg_mode="absolute")
+def test_w1_empirical_exactly_symmetric(n, m, d, seed, reg_mode):
+    # Both orders run the same solve, so they agree bitwise, and a solve
+    # that diverges does so identically either way.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = rng.normal(size=(m, d)) + rng.normal(size=d)
+
+    def outcome(a, b):
+        try:
+            return w1_empirical(a, b, reg_mode=reg_mode)
+        except SinkhornDivergenceError as exc:
+            return exc.residual, exc.iterations
+
+    assert outcome(x, y) == outcome(y, x)
 
 
 def test_w1_empirical_triangle_inequality_1d():
@@ -584,6 +604,47 @@ def test_weighted_subdomain_skips_and_errors():
         weighted_subdomain_w1(
             [np.empty((0, 2))], [np.empty((0, 2))], ClassWeights(np.array([1.0]))
         )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_class_and_w1_matrix_match_w1_empirical(sizes, seed):
+    # Bitwise: per_class[k] is the pair's own w1_empirical (0.0 when a side
+    # is empty), value is the in-order weighted sum of per_class, and
+    # w1_matrix is the double w1_empirical loop.
+    rng = np.random.default_rng(seed)
+    k = len(sizes)
+    parts_s = [rng.normal(size=(n, 2)) for n, _ in sizes]
+    parts_t = [rng.normal(size=(m, 2)) + 0.5 for _, m in sizes]
+    w_t = ClassWeights(rng.dirichlet(np.ones(k)))
+    kwargs = dict(reg=0.05, max_iter=2000, tol=1e-5)
+    skipped = tuple(c for c, (n, m) in enumerate(sizes) if n == 0 or m == 0)
+    if len(skipped) == k:
+        with pytest.raises(ValueError, match="no aligned sub-domains"):
+            weighted_subdomain_w1(parts_s, parts_t, w_t, **kwargs)
+        return
+    result = weighted_subdomain_w1(parts_s, parts_t, w_t, **kwargs)
+    assert result.skipped == skipped
+    total = 0.0
+    for c in range(k):
+        if c in skipped:
+            assert result.per_class[c] == 0.0
+            continue
+        want = w1_empirical(parts_s[c], parts_t[c], **kwargs)
+        assert result.per_class[c] == want
+        total += w_t[c] * want
+    assert result.value == total
+
+    clouds_s = [p for p in parts_s if len(p)]
+    clouds_t = [p for p in parts_t if len(p)]
+    table = w1_matrix(clouds_s, clouds_t, **kwargs)
+    assert table.shape == (len(clouds_s), len(clouds_t))
+    for i, x in enumerate(clouds_s):
+        for j, y in enumerate(clouds_t):
+            assert table[i, j] == w1_empirical(x, y, **kwargs)
 
 
 # ---------------------------------------------------------------------------

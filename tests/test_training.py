@@ -319,23 +319,33 @@ def test_target_encoder_gradient_scope():
     step = compute_step_gradients(
         encoder, encoder_t, classifier, xb_s, yb_s, xb_t, w_s, w_t, config
     )
+    # What the step holds fixed, recomputed from its inputs: the source
+    # features, the target pseudo-labels and the discrepancy couplings.
+    feat_s, _ = nn.forward(encoder, xb_s)
+    feat_t0, _ = nn.forward(encoder_t, xb_t)
+    pseudo = np.argmax(nn.forward(classifier, feat_t0)[0], axis=1)
+    couplings = nn.loss_discrepancy_weighted(
+        feat_s, yb_s, feat_t0, pseudo, w_t,
+        reg=config.sinkhorn_reg, max_iter=config.sinkhorn_max_iter,
+        tol=config.sinkhorn_tol, reg_mode=config.sinkhorn_reg_mode,
+    ).couplings
 
     def alignment_objective():
         feat_t, _ = nn.forward(encoder_t, xb_t)
         total = 0.0
-        for k, coupling in step.couplings.items():
-            xs = step.feat_s[yb_s == k]
-            xt = feat_t[step.pseudo_labels == k]
+        for k, coupling in couplings.items():
+            xs = feat_s[yb_s == k]
+            xt = feat_t[pseudo == k]
             total += config.lambda_d * w_t[k] * float(
                 np.sum(coupling * euclidean_cost_matrix(xs, xt))
             )
         total += config.lambda_c * (
-            nn.loss_intra(step.feat_s, yb_s, config.margin).value
-            + nn.loss_intra(feat_t, step.pseudo_labels, config.margin).value
+            nn.loss_intra(feat_s, yb_s, config.margin).value
+            + nn.loss_intra(feat_t, pseudo, config.margin).value
         )
         total += config.lambda_a * nn.loss_inter(
-            split_by_class(step.feat_s, yb_s, 2),
-            split_by_class(feat_t, step.pseudo_labels, 2),
+            split_by_class(feat_s, yb_s, 2),
+            split_by_class(feat_t, pseudo, 2),
         ).value
         return total
 
@@ -358,5 +368,6 @@ def test_skipped_pairs_counts_each_class_once():
     yb_s = np.arange(12) % 2
     w = ClassWeights(np.full(3, 1.0 / 3))
     step = compute_step_gradients(encoder, encoder, classifier, xb_s, yb_s, xb_t, w, w, config)
-    assert (step.pseudo_labels == 2).all()
+    feat_t, _ = nn.forward(encoder, xb_t)
+    assert (np.argmax(nn.forward(classifier, feat_t)[0], axis=1) == 2).all()
     assert step.skipped_pairs == 3
