@@ -15,7 +15,7 @@ partial bounds only.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -32,14 +32,18 @@ class SubdomainPartition:
 
     assignments: np.ndarray
     k: int
+    rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assignments = np.asarray(self.assignments, dtype=int).reshape(-1)
         object.__setattr__(self, "assignments", assignments)
         if self.k < 1:
             raise ValueError("K must be positive")
-        if assignments.size and (assignments.min() < 0 or assignments.max() >= self.k):
-            raise ValueError(f"assignment outside 0..{self.k - 1}")
+        try:
+            rows = class_rows(assignments, self.k)
+        except ValueError:
+            raise ValueError(f"assignment outside 0..{self.k - 1}") from None
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
@@ -109,7 +113,7 @@ def subdomain_risks(predictions, labels, partition: SubdomainPartition) -> Subdo
         raise ValueError("partition does not cover the samples")
     risks = np.zeros(partition.k)
     skipped = []
-    for k, rows in enumerate(class_rows(partition.assignments, partition.k)):
+    for k, rows in enumerate(partition.rows):
         if rows.size == 0:
             skipped.append(k)
             continue
@@ -126,8 +130,7 @@ def check_decomposition(predictions, labels, partition: SubdomainPartition) -> f
     """
     overall = source_risk(predictions, labels)
     per_class = subdomain_risks(predictions, labels, partition).risks
-    counts = np.bincount(partition.assignments, minlength=partition.k)
-    props = counts / counts.sum()
+    props = np.array([rows.size for rows in partition.rows]) / partition.n
     return float(abs(overall - float(props @ per_class)))
 
 
@@ -152,10 +155,7 @@ def delta_c(parts: Sequence[np.ndarray]) -> float:
 def split_by_class(features: np.ndarray, labels: np.ndarray, k: int) -> list:
     """Partition feature rows into K per-class arrays (possibly empty)."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = np.asarray(labels, dtype=int).reshape(-1)
-    if labels.size != features.shape[0]:
-        raise ValueError("labels do not cover the feature rows")
-    return [features[rows] for rows in class_rows(labels, k)]
+    return [features[rows] for rows in class_rows(labels, k, features.shape[0])]
 
 
 def bound_report(

@@ -248,22 +248,21 @@ def cmd_figure1(args) -> int:
     )
     if weighted.skipped:
         raise ValueError(f"cluster {weighted.skipped[0]} is empty in one domain")
-    paired, weighted_sum = weighted.per_class, weighted.value
     overall = ot.w1_empirical(
         source.features, target.features, reg=args.reg, max_iter=args.max_iter, tol=args.tol
     )
     slack = bounds.delta_c(parts_s + parts_t)
-    holds = bool(weighted_sum <= overall + slack)
+    holds = bool(weighted.value <= overall + slack)
     out = _out_dir(args)
     with (out / "figure1.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster", "w_t", "w1_paired", "w1_overall", "delta_c", "bound_holds"])
         for k in range(2):
-            writer.writerow([k, w_t[k], paired[k], overall, slack, holds])
+            writer.writerow([k, w_t[k], weighted.per_class[k], overall, slack, holds])
     print(json.dumps({
-        "w1_paired": paired,
+        "w1_paired": weighted.per_class,
         "w1_overall": overall,
-        "weighted_sum": weighted_sum,
+        "weighted_sum": weighted.value,
         "delta_c": slack,
         "bound_holds": holds,
     }))

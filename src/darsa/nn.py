@@ -364,8 +364,8 @@ def loss_discrepancy_weighted(
     feat_t = np.atleast_2d(np.asarray(feat_t, dtype=float))
     if feat_s.shape[1] != feat_t.shape[1]:
         raise ValueError("feature spaces differ in dimension")
-    rows_s = class_rows(labels_s, w_t.k)
-    rows_t = class_rows(pseudo_t, w_t.k)
+    rows_s = class_rows(labels_s, w_t.k, feat_s.shape[0])
+    rows_t = class_rows(pseudo_t, w_t.k, feat_t.shape[0])
     value = 0.0
     grad_s = np.zeros_like(feat_s)
     grad_t = np.zeros_like(feat_t)

@@ -553,16 +553,20 @@ def pairwise_component_w1(
     """
     if mix_s.dim != mix_t.dim:
         raise ValueError("dimension mismatch between mixtures")
+    ks, kt = mix_s.k, mix_t.k
+    dist = np.zeros((ks, kt))
     if pairwise == "analytic":
-        return np.array(
-            [[gaussian_w2(p, q) for q in mix_t.components] for p in mix_s.components]
-        )
-    if pairwise == "sampled":
+        for i in range(ks):
+            for j in range(kt):
+                dist[i, j] = gaussian_w2(mix_s.components[i], mix_t.components[j])
+    elif pairwise == "sampled":
         rng = np.random.default_rng(seed)
         clouds_s = [sample_gaussian(c, n_samples, rng) for c in mix_s.components]
         clouds_t = [sample_gaussian(c, n_samples, rng) for c in mix_t.components]
-        return w1_matrix(clouds_s, clouds_t, reg, max_iter, tol, reg_mode)
-    raise ValueError(f"unknown pairwise mode {pairwise!r}")
+        dist = w1_matrix(clouds_s, clouds_t, reg, max_iter, tol, reg_mode)
+    else:
+        raise ValueError(f"unknown pairwise mode {pairwise!r}")
+    return dist
 
 
 def mw1_gmm(

@@ -46,10 +46,7 @@ class Dataset:
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=int).reshape(-1)
             object.__setattr__(self, "labels", labels)
-            if labels.size != features.shape[0]:
-                raise ValueError("labels do not cover the samples")
-            if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-                raise ValueError(f"label outside 0..{self.k - 1}")
+            class_rows(labels, self.k, features.shape[0])  # length and range check
 
     @property
     def n(self) -> int:

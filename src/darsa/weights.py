@@ -16,10 +16,13 @@ import numpy as np
 SIMPLEX_TOL = 1e-9
 
 
-def class_rows(labels, k: int) -> list:
+def class_rows(labels, k: int, n: int | None = None) -> list:
     """Indices of the rows labelled ``c``, in order, for each ``c`` in
-    ``0..k-1`` (possibly empty). A label outside ``0..k-1`` raises."""
+    ``0..k-1`` (possibly empty). A label outside ``0..k-1`` raises, and so
+    does a label vector whose length is not ``n`` when ``n`` is given."""
     labels = np.asarray(labels, dtype=int).reshape(-1)
+    if n is not None and labels.size != n:
+        raise ValueError("labels do not cover the feature rows")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label outside 0..{k - 1}")
     return [np.flatnonzero(labels == c) for c in range(k)]

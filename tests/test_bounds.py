@@ -260,3 +260,19 @@ def test_label_outside_classes_raises(call, bad_label):
     }
     with pytest.raises(ValueError, match="label outside 0..1"):
         calls[call]()
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_discrepancy_labels_must_cover_features(side):
+    # A label vector shorter than its features would leave the extra rows
+    # out of every class, with zero gradient; it must raise instead.
+    rng = np.random.default_rng(7)
+    feat_s, feat_t = rng.normal(size=(10, 2)), rng.normal(size=(10, 2))
+    labels_s = labels_t = np.arange(10) % 2
+    if side == "source":
+        labels_s = labels_s[:8]
+    else:
+        labels_t = labels_t[:8]
+    w_t = ClassWeights(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="labels do not cover"):
+        loss_discrepancy_weighted(feat_s, labels_s, feat_t, labels_t, w_t)

@@ -370,6 +370,13 @@ def test_w1_empirical_matches_1d_oracle():
         assert abs(est - w1_exact_1d(a.ravel(), b.ravel())) <= 0.05
 
 
+def test_w1_empirical_exactly_symmetric():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(30, 2))
+    y = rng.normal(size=(45, 2)) + 0.7
+    assert w1_empirical(x, y) == w1_empirical(y, x)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 40),
@@ -378,11 +385,11 @@ def test_w1_empirical_matches_1d_oracle():
     seed=st.integers(0, 2**32 - 1),
     reg_mode=st.sampled_from(["absolute", "relative"]),
 )
-@example(n=30, m=45, d=2, seed=11, reg_mode="absolute")
 @example(n=8, m=36, d=1, seed=166, reg_mode="absolute")
-def test_w1_empirical_exactly_symmetric(n, m, d, seed, reg_mode):
-    # Both orders run the same solve, so they agree bitwise, and a solve
-    # that diverges does so identically either way.
+def test_w1_empirical_symmetric_over_random_shapes(n, m, d, seed, reg_mode):
+    # Both orders run the same solve, so they agree bitwise. Some small
+    # random draws do not converge at the defaults; such a draw must then
+    # fail identically either way.
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     y = rng.normal(size=(m, d)) + rng.normal(size=d)
