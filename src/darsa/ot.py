@@ -1,9 +1,10 @@
 """Optimal-transport distances.
 
 Exact small-scale solvers, a Sinkhorn solver for entropic regularized
-transport (stabilized scaling with ε-scaling), Gaussian closed forms,
-and the mixture-level Wasserstein distance used to compare sub-domain
-decompositions.
+transport (stabilized scaling with ε-scaling; a stage opens with one exp
+pass from the carried potentials, and with a log-domain sweep only on
+underflow), Gaussian closed forms, and the mixture-level Wasserstein
+distance used to compare sub-domain decompositions.
 
 Conventions
 -----------
@@ -27,6 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
 from .weights import ClassWeights, class_rows
 
@@ -36,6 +38,7 @@ SCALING_BOUND = 1e20  # sinkhorn absorbs a scaling once |log u| or |log v| > 46
 EPS_FACTOR = 4  # sinkhorn's ε-scaling divides reg by this from stage to stage,
 EPS_START = 64  # starting at the smallest such reg with max(C)/reg at most this;
 STAGE_TOL = 1e-2  # an intermediate stage stops at this L1 residual
+TINY = np.finfo(float).tiny  # a kernel row or column summing below this underflowed
 
 
 class SinkhornDivergenceError(RuntimeError):
@@ -251,13 +254,20 @@ def ot_exact_discrete(cost_matrix, a, b) -> TransportPlan:
         coupling=coupling,
         row_marginal=a,
         col_marginal=b,
-        cost=float(np.sum(coupling * cost)),
+        cost=float(np.einsum("ij,ij->", coupling, cost)),
     )
 
 
 # ---------------------------------------------------------------------------
 # Entropic solver
 # ---------------------------------------------------------------------------
+
+
+def _fill_kernel(kernel, cost, reg, f, g) -> None:
+    """Write ``K = exp(f + -C/reg + g)`` into ``kernel`` in one exp pass."""
+    np.divide(cost, -reg, out=kernel)
+    kernel += f[:, None]
+    np.exp(np.add(kernel, g, out=kernel), out=kernel)
 
 
 def sinkhorn(
@@ -283,12 +293,14 @@ def sinkhorn(
     (ε-scaling; Schmitzer 2019, Feydy et al. 2019): it starts at
     ``reg * EPS_FACTOR**s``, the smallest such reg with ``max(C)/reg`` at
     most ``EPS_START``, and divides reg by ``EPS_FACTOR`` per stage down to
-    ``reg``, each stage warm-started from the previous stage's potentials.
-    An intermediate stage stops at residual ``max(tol, STAGE_TOL)``. The
-    stages share the ``max_iter`` budget: ``SinkhornInfo.iterations`` counts
-    every sweep of every stage, each stage's opening log-domain sweep
-    included, and never exceeds ``max_iter``. ``residual`` and
-    ``converged`` describe the final stage, at ``reg``.
+    ``reg``, each stage warm-started from the previous stage's potentials:
+    it opens by building ``K`` from them in one exp pass, and runs its first
+    sweep on log-domain potentials only if a row or column of that ``K``
+    underflows. An intermediate stage stops at residual ``max(tol,
+    STAGE_TOL)``. The stages share the ``max_iter`` budget:
+    ``SinkhornInfo.iterations`` counts every sweep of every stage, each
+    stage's opening sweep included, and never exceeds ``max_iter``.
+    ``residual`` and ``converged`` describe the final stage, at ``reg``.
 
     Returns the coupling as a :class:`TransportPlan`; the reported cost is
     the transport cost of that coupling, excluding the entropy term. With
@@ -334,26 +346,34 @@ def sinkhorn(
     for stage in range(stages, -1, -1):
         stage_reg = reg * EPS_FACTOR**stage
         stage_tol = max(tol, STAGE_TOL) if stage else tol
-        # One log-domain sweep sets the potentials: the kernel's column sums
-        # are then b and its row sums at least a_i * min(b), whatever C/reg is.
-        np.divide(cost_r, -stage_reg, out=kernel)
-        kernel += g
-        peak = kernel.max(axis=1)
-        kernel -= peak[:, None]
-        f = np.log(a_r) - peak - np.log(np.exp(kernel, out=kernel).sum(axis=1))
-        np.divide(cost_r, -stage_reg, out=kernel)
-        kernel += f[:, None]
-        peak = kernel.max(axis=0)
-        kernel -= peak
-        col_sums = np.exp(kernel, out=kernel).sum(axis=0)
-        g = np.log(b_r) - peak - np.log(col_sums)
-        kernel *= b_r / col_sums
-        iterations += 1
-
-        u, v = np.ones(rows.size), np.ones(cols.size)
+        # The stage opens on the kernel of the carried potentials, built in
+        # one exp pass, with a sweep from u = v = 1 that has no residual
+        # check before it; the loop's first pass finishes that sweep.
+        _fill_kernel(kernel, cost_r, stage_reg, f, g)
+        kv = kernel.sum(axis=1)
+        if kv.min() >= TINY:
+            u = a_r / kv
+            kt_u = kernel.T @ u
+        if kv.min() < TINY or kt_u.min() < TINY:
+            # A kernel row or column underflowed (atoms of tiny mass): run
+            # the opening sweep on log-domain potentials instead.
+            scaled = cost_r / -stage_reg
+            f = np.log(a_r) - logsumexp(scaled + g, axis=1)
+            g = np.log(b_r) - logsumexp(scaled + f[:, None], axis=0)
+            _fill_kernel(kernel, cost_r, stage_reg, f, g)
+            u, kt_u = np.ones(rows.size), kernel.sum(axis=0)
         converged = False
-        # Leave one sweep for the opening of each stage still to come.
-        while iterations < max_iter - stage:
+        while True:
+            v = b_r / kt_u
+            iterations += 1
+            if max(u.max(), v.max(), 1.0 / u.min(), 1.0 / v.min()) > SCALING_BOUND:
+                f += np.log(u)
+                g += np.log(v)
+                _fill_kernel(kernel, cost_r, stage_reg, f, g)
+                u, v = np.ones(rows.size), np.ones(cols.size)
+            # Leave one sweep for the opening of each stage still to come.
+            if iterations >= max_iter - stage:
+                break
             kv = kernel @ v
             # Row sums of the current plan; columns are exact after each
             # v-update, so this is the full L1 violation.
@@ -362,15 +382,7 @@ def sinkhorn(
                 converged = True
                 break
             u = a_r / kv
-            v = b_r / (kernel.T @ u)
-            iterations += 1
-            if max(u.max(), v.max(), 1.0 / u.min(), 1.0 / v.min()) > SCALING_BOUND:
-                f += np.log(u)
-                g += np.log(v)
-                np.divide(cost_r, -stage_reg, out=kernel)
-                kernel += f[:, None]
-                np.exp(np.add(kernel, g, out=kernel), out=kernel)
-                u, v = np.ones(rows.size), np.ones(cols.size)
+            kt_u = kernel.T @ u
         if stage:
             # The potentials are in units of the stage's reg.
             f = (f + np.log(u)) * EPS_FACTOR
@@ -386,7 +398,7 @@ def sinkhorn(
         coupling=coupling,
         row_marginal=a,
         col_marginal=b,
-        cost=float(np.sum(coupling * cost)),
+        cost=float(np.einsum("ij,ij->", coupling, cost)),
     )
     if not converged:
         residual = plan.marginal_residual()
@@ -450,12 +462,14 @@ def w1_empirical(
     """Entropic estimate of W1 between two point clouds.
 
     Euclidean ground cost, uniform marginals. Exactly symmetric in its two
-    arguments: the pair is put in a canonical order before solving, and the
+    arguments: the pair is put in a canonical order before solving (by
+    shape, then by the first value in which the clouds differ), and the
     transport cost is invariant under transposing the plan.
     """
     x = np.atleast_2d(_as_samples(x, "x"))
     y = np.atleast_2d(_as_samples(y, "y"))
-    if (y.shape, y.tobytes()) < (x.shape, x.tobytes()):
+    first = np.flatnonzero(x != y)[:1] if x.shape == y.shape else []
+    if (y.shape, list(y.flat[first])) < (x.shape, list(x.flat[first])):
         x, y = y, x
     plan, _, _ = uniform_plan(x, y, reg, max_iter, tol, reg_mode)
     return plan.cost

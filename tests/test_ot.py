@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
+from darsa import ot
 from darsa.ot import (
     EPS_FACTOR,
     EPS_START,
@@ -206,6 +207,30 @@ def test_sinkhorn_zero_mass_atoms():
     assert plan.cost == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_plan_cost_matches_elementwise_sum(order):
+    # Plan costs are computed without an n x m temporary; they must agree
+    # with the elementwise sum for either memory order, with and without
+    # zero-mass atoms sliced out.
+    rng = np.random.default_rng(14)
+    cost = euclidean_cost_matrix(rng.normal(size=(9, 2)), rng.normal(size=(7, 2)))
+    cost = np.asarray(cost, order=order)
+    a = rng.random(9)
+    a[[1, 4]] = 0.0
+    b = rng.random(7)
+    b[3] = 0.0
+    a, b = a / a.sum(), b / b.sum()
+    uniform_a, uniform_b = np.full(9, 1.0 / 9), np.full(7, 1.0 / 7)
+    plans = [
+        sinkhorn(cost, a, b, reg=0.05, max_iter=5000, tol=1e-9),
+        sinkhorn(cost, uniform_a, uniform_b, reg=0.05, max_iter=5000, tol=1e-9),
+        ot_exact_discrete(cost, a, b),
+        ot_exact_discrete(cost, uniform_a, uniform_b),
+    ]
+    for plan in plans:
+        assert plan.cost == pytest.approx(float(np.sum(plan.coupling * cost)), rel=1e-12)
+
+
 def test_sinkhorn_divergence_error():
     rng = np.random.default_rng(7)
     cost = rng.random((6, 6))
@@ -312,6 +337,36 @@ def test_sinkhorn_matches_log_domain_reference(
         assert plan.marginal_residual() <= tol + 1e-12
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("ratio", [1e3, 1e5])
+def test_sinkhorn_underflowing_stage_opening(ratio, transpose):
+    # A warm stage opens on the fourth power of the last stage's plan, so
+    # the rows and columns of atoms of mass 1e-200 and 1e-300 underflow to
+    # zero; the opening must then fall back to a log-domain sweep.
+    rng = np.random.default_rng(3)
+    cost = euclidean_cost_matrix(rng.normal(size=(6, 2)), rng.normal(size=(7, 2)))
+    a = rng.random(6) + 0.1
+    a[2] = 0.0
+    a = a / a.sum()
+    a[2] = 1e-200
+    b = rng.random(7) + 0.1
+    b[4] = 0.0
+    b = b / b.sum()
+    b[4] = 1e-300
+    if transpose:
+        cost, a, b = cost.T.copy(), b, a
+    reg = float(cost.max()) / ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        plan, info = sinkhorn(cost, a, b, reg, max_iter=5000, tol=1e-9, return_info=True)
+    cost_want, iterations_want, _, converged_want = _log_domain_sinkhorn(
+        cost, a, b, reg, 5000, 1e-9
+    )
+    assert (info.iterations, info.converged) == (iterations_want, converged_want)
+    assert info.converged
+    assert plan.cost == pytest.approx(cost_want, rel=1e-9)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 20),
@@ -401,6 +456,33 @@ def test_w1_empirical_symmetric_over_random_shapes(n, m, d, seed, reg_mode):
             return exc.residual, exc.iterations
 
     assert outcome(x, y) == outcome(y, x)
+
+
+@pytest.mark.parametrize("index", [0, 5, 23])
+@pytest.mark.parametrize("nudged", ["x", "y"])
+def test_w1_empirical_orientation_ignores_last_digits(monkeypatch, index, nudged):
+    # Equal shapes: the cloud with the smaller first differing value is the
+    # row side. 1.0 and 2.0 differ only in their high bytes, so an order by
+    # raw bytes would not follow their values. A one-ulp change to that
+    # value or to a later one must not move the row side.
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(12, 2))
+    y = rng.normal(size=(12, 2))
+    x[0, 0], y[0, 0] = 1.0, 2.0
+    row_sides = []
+    solve = ot.uniform_plan
+
+    def recording(rows, cols, *args, **kwargs):
+        row_sides.append(rows)
+        return solve(rows, cols, *args, **kwargs)
+
+    monkeypatch.setattr(ot, "uniform_plan", recording)
+    for direction in (-np.inf, np.inf):
+        x_, y_ = x.copy(), y.copy()
+        cloud = x_ if nudged == "x" else y_
+        cloud.flat[index] = np.nextafter(cloud.flat[index], direction)
+        assert w1_empirical(x_, y_, reg=0.1, tol=1e-4) == w1_empirical(y_, x_, reg=0.1, tol=1e-4)
+        assert all(np.array_equal(rows, x_) for rows in row_sides[-2:])
 
 
 def test_w1_empirical_triangle_inequality_1d():
