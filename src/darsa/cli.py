@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, nn, ot, training
+from . import bounds, ot, training
 from .synthdata import Dataset, make_figure1_task, make_shifted_gmm
 from .weights import ClassWeights
 
@@ -43,6 +43,13 @@ BOUND_CSV_FIELDS = (
     "holds",
 )
 
+# JSON kinds of the fields of an experiment config and of its task, where present.
+_JSON_KINDS = {
+    "log_every": "int", "out_dir": "str", "source": "str", "target": "str", "k": "int",
+    "d": "int", "n_per_domain": "int", "sigma": "float", "mean_separation": "float",
+    "target_mean_shift": "float", "source_props": "tuple", "target_props": "tuple",
+}
+
 
 def _require_file(path_str: str) -> Path:
     path = Path(path_str)
@@ -58,9 +65,23 @@ def _load_dataset(path_str: str, need_labels: bool = False) -> Dataset:
     return data
 
 
+def _json_object(obj, what: str) -> dict:
+    """``obj``, checked to be a JSON object whose fields have their ``_JSON_KINDS``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    for key, kind in _JSON_KINDS.items():
+        if key in obj and not training.has_kind(obj[key], kind):
+            raise ValueError(f"invalid {what}: {key} must be {kind}, got {obj[key]!r}")
+    return obj
+
+
 def _load_gmm(path_str: str) -> ot.GaussianMixture:
     with _require_file(path_str).open() as fh:
-        return ot.GaussianMixture.from_dict(json.load(fh))
+        obj = json.load(fh)
+    try:
+        return ot.GaussianMixture.from_dict(obj)
+    except TypeError as exc:  # a JSON value of the wrong kind
+        raise ValueError(f"malformed mixture manifest {path_str}: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -133,10 +154,8 @@ def cmd_bounds(args) -> int:
     if args.checkpoint is not None:
         with _require_file(args.checkpoint).open() as fh:
             models = training.DarsaModels.from_dict(json.load(fh))
-        feat_s, _ = nn.forward(models.encoder_s, source.features)
-        feat_t, _ = nn.forward(models.encoder_t, target.features)
-        preds_s = np.argmax(nn.forward(models.classifier, feat_s)[0], axis=1)
-        pseudo_t = np.argmax(nn.forward(models.classifier, feat_t)[0], axis=1)
+        feat_s, _, preds_s = training.apply_models(models.encoder_s, models.classifier, source.features)
+        feat_t, _, pseudo_t = training.apply_models(models.encoder_t, models.classifier, target.features)
         k = models.classifier.out_dim
     else:
         # No model: raw features, source predictions taken as the labels,
@@ -159,6 +178,7 @@ def cmd_bounds(args) -> int:
 
 
 def _task_datasets(task: dict, seed: int):
+    """Source and target of a ``train`` task; a ``gen`` manifest's generator block is one."""
     name = task.get("name")
     if name == "figure1":
         return make_figure1_task(
@@ -188,24 +208,23 @@ def _task_datasets(task: dict, seed: int):
 def cmd_train(args) -> int:
     """Run the adaptation loop from an experiment config file."""
     with _require_file(args.config).open() as fh:
-        experiment = json.load(fh)
+        experiment = _json_object(json.load(fh), "experiment config")
     config = training.DarsaConfig.from_dict(experiment.get("darsa", {}))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.epochs is not None:
         config = replace(config, epochs=args.epochs)
-    task = experiment.get("task", {"name": "figure1"})
+    task = _json_object(experiment.get("task", {"name": "figure1"}), "task")
     if args.task is not None:
         task = {**task, "name": args.task}
-    log_every = int(experiment.get("log_every", 1))
+    log_every = experiment.get("log_every", 1)
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
     out = Path(args.out if args.out is not None else experiment.get("out_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
 
     source, target = _task_datasets(task, config.seed)
-    eval_labels = target.labels
-    models, metrics = training.fit(source, target, config, eval_labels=eval_labels)
+    models, metrics = training.fit(source, target, config, eval_labels=target.labels)
 
     kept = [
         r for r in metrics.records
@@ -219,9 +238,9 @@ def cmd_train(args) -> int:
         models.encoder_s, models.classifier, source.features, source.labels
     )
     target_acc = None
-    if eval_labels is not None:
+    if target.labels is not None:
         target_acc = training.accuracy(
-            models.encoder_t, models.classifier, target.features, eval_labels
+            models.encoder_t, models.classifier, target.features, target.labels
         )
     summary = {
         "target_accuracy": target_acc,
@@ -237,8 +256,6 @@ def cmd_train(args) -> int:
 def cmd_figure1(args) -> int:
     """Per-cluster diagnostic for the two-cluster task: paired W1 per
     cluster, pooled W1, the reweighted sum, and the variance slack."""
-    if args.sigma <= 0:
-        raise ValueError("sigma must be positive")
     source, target = make_figure1_task(args.sigma, args.n, args.seed)
     parts_s = bounds.split_by_class(source.features, source.labels, 2)
     parts_t = bounds.split_by_class(target.features, target.labels, 2)
@@ -272,22 +289,20 @@ def cmd_figure1(args) -> int:
 def cmd_gen(args) -> int:
     """Generate a synthetic task and write it as CSV plus a manifest."""
     if args.task == "figure1":
-        source, target = make_figure1_task(args.sigma, args.n, args.seed)
         generator = {"name": "figure1", "sigma": args.sigma, "n_per_domain": args.n}
     else:
-        source_props = ClassWeights(np.asarray(json.loads(args.source_props), dtype=float))
-        target_props = ClassWeights(np.asarray(json.loads(args.target_props), dtype=float))
-        source, target = make_shifted_gmm(
-            args.k, args.d, args.separation, args.shift,
-            source_props, target_props, args.n, args.sigma, args.seed,
+        # Checked, and written as floats even when given as integers.
+        source_props, target_props = (
+            ClassWeights(np.asarray(json.loads(props), dtype=float)).w.tolist()
+            for props in (args.source_props, args.target_props)
         )
         generator = {
             "name": "gmm", "k": args.k, "d": args.d,
             "mean_separation": args.separation, "target_mean_shift": args.shift,
-            "source_props": source_props.w.tolist(),
-            "target_props": target_props.w.tolist(),
+            "source_props": source_props, "target_props": target_props,
             "n_per_domain": args.n, "sigma": args.sigma,
         }
+    source, target = _task_datasets(generator, args.seed)
     out = _out_dir(args)
     source.to_csv(out / "source.csv")
     target.to_csv(out / "target.csv")

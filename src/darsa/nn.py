@@ -18,9 +18,19 @@ import numpy as np
 from . import ot
 from .weights import ClassWeights, class_rows
 
-ACTIVATIONS = ("relu", "leaky-relu", "softplus", "identity")
 LEAKY_SLOPE = 0.01
 CHECKPOINT_FORMAT_VERSION = 1
+
+# Each activation tag's function and derivative, both taken at the pre-activation.
+_ACTIVATION_FNS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
+    "leaky-relu": (
+        lambda z: np.where(z > 0, z, LEAKY_SLOPE * z), lambda z: np.where(z > 0, 1.0, LEAKY_SLOPE)
+    ),
+    "softplus": (lambda z: np.logaddexp(0.0, z), lambda z: 1.0 / (1.0 + np.exp(-z))),
+    "identity": (lambda z: z, np.ones_like),
+}
+ACTIVATIONS = tuple(_ACTIVATION_FNS)
 
 
 class GradientBlowupError(RuntimeError):
@@ -29,30 +39,6 @@ class GradientBlowupError(RuntimeError):
     def __init__(self, layer_index: int):
         self.layer_index = int(layer_index)
         super().__init__(f"gradient blowup in layer {layer_index}")
-
-
-def _activate(z: np.ndarray, tag: str) -> np.ndarray:
-    if tag == "relu":
-        return np.maximum(z, 0.0)
-    if tag == "leaky-relu":
-        return np.where(z > 0, z, LEAKY_SLOPE * z)
-    if tag == "softplus":
-        return np.logaddexp(0.0, z)
-    if tag == "identity":
-        return z
-    raise ValueError(f"unknown activation {tag!r}")
-
-
-def _activate_grad(z: np.ndarray, tag: str) -> np.ndarray:
-    if tag == "relu":
-        return (z > 0).astype(float)
-    if tag == "leaky-relu":
-        return np.where(z > 0, 1.0, LEAKY_SLOPE)
-    if tag == "softplus":
-        return 1.0 / (1.0 + np.exp(-z))
-    if tag == "identity":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {tag!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +168,7 @@ def forward(params: NetworkParams, x) -> tuple:
         inputs.append(h)
         z = h @ layer.weight.T + layer.bias
         preacts.append(z)
-        h = _activate(z, layer.activation)
+        h = _ACTIVATION_FNS[layer.activation][0](z)
     return h, ForwardCache(params, inputs, preacts)
 
 
@@ -200,7 +186,7 @@ def backward(params: NetworkParams, cache: ForwardCache, upstream) -> BackwardRe
     param_grads = [None] * len(params.layers)
     for idx in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[idx]
-        dz = grad * _activate_grad(cache.preacts[idx], layer.activation)
+        dz = grad * _ACTIVATION_FNS[layer.activation][1](cache.preacts[idx])
         param_grads[idx] = (dz.T @ cache.inputs[idx], dz.sum(axis=0))
         grad = dz @ layer.weight
     return BackwardResult(param_grads, grad)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
@@ -236,6 +235,7 @@ def ot_exact_discrete(cost_matrix, a, b) -> TransportPlan:
     a = _check_marginal(a, n, "a")
     b = _check_marginal(b, m, "b")
 
+    from scipy.optimize import linprog  # slow to import, and only this solver uses it
     # Row-sum and column-sum equality constraints over the flattened plan.
     # One constraint is redundant; HiGHS copes without special handling.
     row_eq = np.kron(np.eye(n), np.ones((1, m)))

@@ -28,6 +28,10 @@ AUDIT_RETRIES = 10
 AUDIT_SUBSAMPLE = 200
 
 
+class AuditError(RuntimeError, ValueError):
+    """The paired-distance audit failed on every retry: the task's parameters are at fault."""
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A dense feature matrix with optional class labels."""
@@ -78,14 +82,13 @@ class Dataset:
                 writer.writerow(row)
 
     @staticmethod
-    def from_csv(path, k: int | None = None) -> "Dataset":
+    def from_csv(path) -> "Dataset":
         path = Path(path)
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"empty CSV file: {path}") from None
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"empty CSV file: {path}")
             has_label = bool(header) and header[-1] == "label"
             n_feat = len(header) - (1 if has_label else 0)
             if n_feat < 1 or any(h != f"f{i}" for i, h in enumerate(header[:n_feat])):
@@ -97,11 +100,11 @@ class Dataset:
                 feats.append([float(v) for v in row[:n_feat]])
                 if has_label:
                     labels.append(int(row[n_feat]))
-        features = np.asarray(feats, dtype=float)
+        if not feats:
+            raise ValueError(f"CSV file has a header but no data rows: {path}")
         label_arr = np.asarray(labels, dtype=int) if has_label else None
-        if k is None:
-            k = int(label_arr.max()) + 1 if has_label and label_arr.size else 1
-        return Dataset(features, label_arr, k)
+        k = int(label_arr.max()) + 1 if has_label else 1
+        return Dataset(np.asarray(feats, dtype=float), label_arr, k)
 
     def manifest(self, seed: int | None = None, generator: dict | None = None) -> dict:
         return {
@@ -223,7 +226,7 @@ def make_shifted_gmm(
         target = Dataset(xt, yt, k)
         if k == 1 or _paired_distance_audit(source, target, rng):
             return source, target
-    raise RuntimeError(
+    raise AuditError(
         f"paired-distance audit failed {AUDIT_RETRIES} times; "
         "increase mean_separation or reduce target_mean_shift"
     )

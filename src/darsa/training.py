@@ -34,13 +34,17 @@ class TrainingError(RuntimeError):
         super().__init__(f"training failed at epoch {epoch}, batch {batch}: {cause}")
 
 
+# What ``fit`` reports as a ``TrainingError``: in pretraining, a step or the snapshot.
+_FAILURES = (nn.GradientBlowupError, FloatingPointError, ValueError, ot.SinkhornDivergenceError)
+
+
 # Accepted types of a config field, by its annotation.
 _CONFIG_KINDS = {"float": numbers.Real, "int": numbers.Integral, "bool": bool, "str": str,
                  "tuple": (tuple, list)}
 
 
-def _has_kind(value, kind: str) -> bool:
-    """Whether a config value fits its annotation; a bool is no number."""
+def has_kind(value, kind: str) -> bool:
+    """Whether a config or JSON value is of the named kind; a bool is no number."""
     return isinstance(value, _CONFIG_KINDS[kind]) and isinstance(value, bool) == (kind == "bool")
 
 
@@ -83,9 +87,9 @@ class DarsaConfig:
     def __post_init__(self):
         for fld in fields(self):
             value = getattr(self, fld.name)
-            ok = _has_kind(value, fld.type) or (fld.name == "ratio_cap" and value is None)
+            ok = has_kind(value, fld.type) or (fld.name == "ratio_cap" and value is None)
             if ok and fld.type == "tuple":
-                ok = all(_has_kind(width, "int") and width >= 1 for width in value)
+                ok = all(has_kind(width, "int") and width >= 1 for width in value)
                 object.__setattr__(self, fld.name, tuple(value))
             if not ok:
                 raise ValueError(
@@ -182,15 +186,17 @@ class StepGradients(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def forward_logits(encoder: nn.NetworkParams, classifier: nn.NetworkParams, x) -> np.ndarray:
+def apply_models(encoder: nn.NetworkParams, classifier: nn.NetworkParams, x) -> tuple:
+    """Encoder features, classifier logits and class predictions of ``x``;
+    argmax ties resolve to the lowest class id."""
     feats, _ = nn.forward(encoder, x)
     logits, _ = nn.forward(classifier, feats)
-    return logits
+    return feats, logits, np.argmax(logits, axis=1)
 
 
 def predict(encoder: nn.NetworkParams, classifier: nn.NetworkParams, x) -> np.ndarray:
     """Class predictions; argmax ties resolve to the lowest class id."""
-    return np.argmax(forward_logits(encoder, classifier, x), axis=1)
+    return apply_models(encoder, classifier, x)[2]
 
 
 def accuracy(encoder, classifier, x, labels) -> float:
@@ -214,7 +220,7 @@ def estimate_target_weights(
     k = classifier.out_dim
     if floor * k >= 1:
         raise ValueError("floor too large for the number of classes")
-    logits = forward_logits(encoder_t, classifier, x_t)
+    _, logits, _ = apply_models(encoder_t, classifier, x_t)
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -358,14 +364,10 @@ def compute_step_gradients(
 def _epoch_snapshot(
     encoder_s, encoder_t, classifier, source, target, eval_labels, w_t, config, epoch
 ):
-    feat_s, _ = nn.forward(encoder_s, source.features)
-    feat_t, _ = nn.forward(encoder_t, target.features)
-    preds_s = np.argmax(nn.forward(classifier, feat_s)[0], axis=1)
-    pseudo_t = np.argmax(nn.forward(classifier, feat_t)[0], axis=1)
+    feat_s, _, preds_s = apply_models(encoder_s, classifier, source.features)
+    feat_t, _, pseudo_t = apply_models(encoder_t, classifier, target.features)
     source_acc = float(np.mean(preds_s == source.labels))
-    target_acc = None
-    if eval_labels is not None:
-        target_acc = float(np.mean(pseudo_t == np.asarray(eval_labels, dtype=int)))
+    target_acc = None if eval_labels is None else float(np.mean(pseudo_t == eval_labels))
 
     # Bound estimates on a capped, seed-derived subsample: the transport
     # solves dominate epoch time at full data size.
@@ -424,7 +426,7 @@ def fit(
     w_s = ClassWeights.from_labels(source.labels, k)
     try:
         encoder_s, classifier = pretrain(encoder, classifier, source, config, rng=rng)
-    except (nn.GradientBlowupError, FloatingPointError, ValueError) as exc:
+    except _FAILURES as exc:
         raise TrainingError(0, -1, exc) from exc
     encoder_t = encoder_s  # immutable; updates below fork the parameters
     w_t = ClassWeights.uniform(k)
@@ -464,12 +466,7 @@ def fit(
                 encoder_t, vel_et = nn.sgd_momentum_step(
                     encoder_t, step.grads_encoder_t, vel_et, config.lr, config.momentum
                 )
-            except (
-                nn.GradientBlowupError,
-                FloatingPointError,
-                ValueError,
-                ot.SinkhornDivergenceError,
-            ) as exc:
+            except _FAILURES as exc:
                 raise TrainingError(epoch, batch_idx, exc) from exc
             sums += (step.bundle.l_y, step.bundle.l_d, step.bundle.l_intra, step.bundle.l_inter)
             skipped_pairs += step.skipped_pairs
@@ -484,7 +481,7 @@ def fit(
                 encoder_s, encoder_t, classifier, source, target, eval_labels, w_t,
                 config, epoch,
             )
-        except (ValueError, ot.SinkhornDivergenceError) as exc:
+        except _FAILURES as exc:
             raise TrainingError(epoch, -1, exc) from exc
         metrics.append(
             EpochRecord(
@@ -499,5 +496,4 @@ def fit(
             )
         )
 
-    models = DarsaModels(encoder_s, encoder_t, classifier)
-    return models, metrics
+    return DarsaModels(encoder_s, encoder_t, classifier), metrics

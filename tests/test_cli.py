@@ -9,8 +9,8 @@ import pytest
 from referencing import Registry, Resource
 
 import darsa
-from darsa.cli import main
-from darsa.synthdata import make_figure1_task
+from darsa.cli import _task_datasets, main
+from darsa.synthdata import Dataset, make_figure1_task
 
 SCHEMA_DIR = Path(darsa.__file__).parent / "schemas"
 
@@ -199,6 +199,22 @@ def test_bounds_identical_domains(figure1_csvs, tmp_path):
     assert report["eps_g_partial"] <= 0.05
 
 
+def test_header_only_csv_exits_two(figure1_csvs, tmp_path, capsys):
+    # A header with no data rows is no sample set, not one zero-dimensional
+    # sample: every command that reads it stops with an input error.
+    src, _ = figure1_csvs
+    empty = tmp_path / "empty.csv"
+    empty.write_text("f0,label\n")
+    assert main(["ot", str(empty), str(empty)]) == 2
+    assert main(["ot", str(src), str(empty), "--method", "exact1d"]) == 2
+    bounds_out = ["--out", str(tmp_path / "bounds")]
+    assert main(["bounds", "--source", str(src), "--target", str(empty), *bounds_out]) == 2
+    assert main(["bounds", "--source", str(empty), "--target", str(src), *bounds_out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("no data rows") == 4
+    assert not (tmp_path / "bounds").exists()
+
+
 def test_bounds_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,label\n1,2,0\n")
@@ -283,6 +299,48 @@ def test_train_bad_config_value_exits_two(tmp_path, capsys, bad, message):
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
+GMM_TASK = {
+    "name": "gmm", "k": 3, "d": 2, "mean_separation": 1.2, "target_mean_shift": 0.5,
+    "source_props": [0.6, 0.2, 0.2], "target_props": [0.2, 0.2, 0.6],
+    "n_per_domain": 90, "sigma": 0.3,
+}
+
+
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        ("train", [1, 2], "experiment config must be a JSON object"),
+        ("train", {"task": "figure1"}, "task must be a JSON object"),
+        ("train", {"log_every": None}, "log_every must be int"),
+        ("train", {"task": {**GMM_TASK, "k": "3"}}, "invalid task: k must be int"),
+        ("mw1", [1], "malformed mixture manifest"),
+        ("mw1", {"weights": [1.0], "components": 5}, "malformed mixture manifest"),
+    ],
+)
+def test_malformed_json_input_exits_two(tmp_path, capsys, command, document, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    if command == "train":
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "run")]
+    else:
+        argv = ["ot", str(path), str(path), "--method", "mw1"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_snapshot_divergence_exits_four(tmp_path, capsys):
+    # With no discrepancy term the steps run no solve, so the first solve is
+    # the epoch-1 snapshot's; one sweep cannot reach tol 1e-9. The snapshot is
+    # not retried: the run stops with exit 4 and writes no metrics.
+    config = _train_config(
+        tmp_path, darsa={"lambda_d": 0, "sinkhorn_max_iter": 1, "sinkhorn_tol": 1e-9}
+    )
+    assert main(["train", "--config", str(config)]) == 4
+    assert "epoch 1, batch -1" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
 def test_train_missing_config(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "absent.json")])
     assert code == 2
@@ -351,6 +409,40 @@ def test_gen_figure1_roundtrip(tmp_path):
 
     source = Dataset.from_csv(out_dir / "source.csv")
     assert source.n == 100 and source.dim == 1 and source.labels is not None
+
+
+@pytest.mark.parametrize(
+    "task_args",
+    [
+        ["--task", "figure1", "--n", "80", "--sigma", "0.1"],
+        ["--task", "gmm", "--n", "150", "--k", "2", "--d", "3", "--separation", "1.5",
+         "--source-props", "[0.7, 0.3]", "--target-props", "[0.4, 0.6]"],
+        ["--task", "gmm", "--n", "50", "--k", "1", "--source-props", "[1]", "--target-props", "[1]"],
+    ],
+)
+def test_gen_generator_block_is_train_task(tmp_path, task_args):
+    # The manifest's generator block, given to ``train`` as its task at the
+    # manifest's seed, rebuilds exactly the datasets that ``gen`` wrote.
+    out_dir = tmp_path / "data"
+    assert main(["gen", *task_args, "--seed", "4", "--out", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    rebuilt = _task_datasets(manifest["generator"], manifest["seed"])
+    for name, data in zip(("source", "target"), rebuilt):
+        written = Dataset.from_csv(out_dir / f"{name}.csv")
+        assert np.array_equal(data.features, written.features)
+        assert np.array_equal(data.labels, written.labels)
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_paired_distance_audit_failure_exits_two(tmp_path, capsys, command):
+    # A class with zero proportion is empty, so no draw can pass the audit.
+    if command == "gen":
+        argv = ["gen", "--task", "gmm", "--n", "60", "--source-props", "[1, 0, 0]"]
+    else:
+        task = {**GMM_TASK, "source_props": [1.0, 0.0, 0.0]}
+        argv = ["train", "--config", str(_train_config(tmp_path, task=task))]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "paired-distance audit failed" in capsys.readouterr().err
 
 
 def test_gen_gmm_deterministic(tmp_path):

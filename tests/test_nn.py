@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from darsa.nn import (
+    ACTIVATIONS,
+    LEAKY_SLOPE,
     GradientBlowupError,
     Layer,
     LossBundle,
@@ -56,6 +58,28 @@ def test_forward_two_layers_hand_computed():
     expected = hidden @ w2.T + b2
     out, _ = forward(net, x)
     assert np.abs(out - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "tag, value, slope",
+    [
+        ("relu", lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
+        ("leaky-relu", lambda z: np.where(z > 0, z, LEAKY_SLOPE * z),
+         lambda z: np.where(z > 0, 1.0, LEAKY_SLOPE)),
+        ("softplus", lambda z: np.logaddexp(0.0, z), lambda z: 1.0 / (1.0 + np.exp(-z))),
+        ("identity", lambda z: z, np.ones_like),
+    ],
+)
+def test_activation_value_and_derivative_exact(tag, value, slope):
+    # One layer with identity weights, so the pre-activation is the input:
+    # forward gives the activation and backward of ones its derivative,
+    # both bit for bit.
+    z = np.array([[-3.0, -0.5, 0.0], [1e-3, 0.7, 40.0]])
+    net = NetworkParams((Layer(np.eye(3), np.zeros(3), tag),))
+    out, cache = forward(net, z)
+    assert np.array_equal(out, value(z))
+    assert np.array_equal(backward(net, cache, np.ones_like(z)).input_grad, slope(z))
+    assert tag in ACTIVATIONS
 
 
 def test_forward_dimension_mismatch():

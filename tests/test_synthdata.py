@@ -210,6 +210,14 @@ def test_dataset_csv_malformed_header(tmp_path):
         Dataset.from_csv(path)
 
 
+@pytest.mark.parametrize("header", ["f0,f1\n", "f0,label\n"])
+def test_dataset_csv_header_only_rejected(tmp_path, header):
+    path = tmp_path / "empty.csv"
+    path.write_text(header)
+    with pytest.raises(ValueError, match="no data rows"):
+        Dataset.from_csv(path)
+
+
 def test_dataset_manifest_fields():
     data = Dataset(np.zeros((7, 3)), np.zeros(7, dtype=int), 1)
     manifest = data.manifest(seed=42, generator={"name": "figure1"})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from darsa import nn
+from darsa import bounds, nn
 from darsa.ot import euclidean_cost_matrix
 from darsa.bounds import split_by_class
 from darsa.synthdata import Dataset, make_figure1_task, make_shifted_gmm
@@ -211,6 +211,18 @@ def test_fit_gradient_blowup_reports_epoch():
         fit(source, target, config)
     assert excinfo.value.epoch >= 1
     assert excinfo.value.batch >= -1
+
+
+def test_fit_snapshot_floating_point_error_is_training_error(monkeypatch):
+    # Under np.seterr(all="raise") an overflow in the snapshot's bound terms is
+    # a FloatingPointError; fit reports it as epoch 1's snapshot (batch -1).
+    def overflow(*args, **kwargs):
+        raise FloatingPointError("overflow encountered")
+
+    monkeypatch.setattr(bounds, "bound_report", overflow)
+    source, target = make_figure1_task(0.05, 120, seed=15)
+    with pytest.raises(TrainingError, match="epoch 1, batch -1"):
+        fit(source, target, DarsaConfig(**QUICK, seed=16))
 
 
 def test_checkpoint_roundtrip():
