@@ -17,7 +17,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +31,10 @@ EXIT_INPUT = 2
 EXIT_DIVERGED = 3
 EXIT_TRAINING = 4
 
+# Columns of bound_comparison.csv: every BoundReport term but the skip count.
 BOUND_CSV_FIELDS = (
     "epoch",
-    "gamma_s",
-    "gamma_s_weighted",
-    "disc_overall",
-    "disc_weighted",
-    "delta_c",
-    "eps_g_partial",
-    "eps_c_partial",
+    *(f.name for f in fields(bounds.BoundReport) if f.name != "skipped_subdomains"),
     "holds",
 )
 
@@ -75,32 +70,31 @@ def _json_object(obj, what: str) -> dict:
     return obj
 
 
-def _load_gmm(path_str: str) -> ot.GaussianMixture:
+def _load_json(path_str: str, build, what: str):
+    """``build`` applied to the JSON object in a file; a wrongly shaped value is an input error."""
     with _require_file(path_str).open() as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed {what} {path_str}: not a JSON object")
     try:
-        return ot.GaussianMixture.from_dict(obj)
-    except TypeError as exc:  # a JSON value of the wrong kind
-        raise ValueError(f"malformed mixture manifest {path_str}: {exc}") from exc
+        return build(obj)
+    except (TypeError, AttributeError) as exc:  # a JSON value of the wrong kind
+        raise ValueError(f"malformed {what} {path_str}: {exc}") from exc
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _out_dir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _write_bound_csv(path: Path, rows) -> None:
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BOUND_CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=BOUND_CSV_FIELDS, extrasaction="ignore")
         writer.writeheader()
         for epoch, report in rows:
-            row = {"epoch": epoch, **report.to_dict()}
-            row.pop("skipped_subdomains")
-            row["holds"] = bool(
-                report.eps_c_partial <= report.eps_g_partial + report.delta_c + 0.05
-            )
-            writer.writerow(row)
+            holds = report.eps_c_partial <= report.eps_g_partial + report.delta_c + 0.05
+            writer.writerow({"epoch": epoch, **report.to_dict(), "holds": bool(holds)})
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +107,8 @@ def cmd_ot(args) -> int:
     method = args.method
     iterations = 0
     if method == "mw1":
-        mix_a, mix_b = _load_gmm(args.a), _load_gmm(args.b)
+        mix_a = _load_json(args.a, ot.GaussianMixture.from_dict, "mixture manifest")
+        mix_b = _load_json(args.b, ot.GaussianMixture.from_dict, "mixture manifest")
         value, plan = ot.mw1_gmm(
             mix_a, mix_b, pairwise=args.pairwise,
             n_samples=args.samples, reg=args.reg,
@@ -152,8 +147,7 @@ def cmd_bounds(args) -> int:
     source = _load_dataset(args.source, need_labels=True)
     target = _load_dataset(args.target)
     if args.checkpoint is not None:
-        with _require_file(args.checkpoint).open() as fh:
-            models = training.DarsaModels.from_dict(json.load(fh))
+        models = _load_json(args.checkpoint, training.DarsaModels.from_dict, "checkpoint")
         feat_s, _, preds_s = training.apply_models(models.encoder_s, models.classifier, source.features)
         feat_t, _, pseudo_t = training.apply_models(models.encoder_t, models.classifier, target.features)
         k = models.classifier.out_dim
@@ -170,7 +164,7 @@ def cmd_bounds(args) -> int:
         feat_s, preds_s, source.labels, feat_t, pseudo_t, w_t,
         reg=args.reg, max_iter=args.max_iter, tol=args.tol,
     )
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     (out / "boundreport.json").write_text(report.to_json() + "\n")
     _write_bound_csv(out / "bound_comparison.csv", [(0, report)])
     print(report.to_json())
@@ -220,8 +214,7 @@ def cmd_train(args) -> int:
     log_every = experiment.get("log_every", 1)
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
-    out = Path(args.out if args.out is not None else experiment.get("out_dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out if args.out is not None else experiment.get("out_dir", "."))
 
     source, target = _task_datasets(task, config.seed)
     models, metrics = training.fit(source, target, config, eval_labels=target.labels)
@@ -270,7 +263,7 @@ def cmd_figure1(args) -> int:
     )
     slack = bounds.delta_c(parts_s + parts_t)
     holds = bool(weighted.value <= overall + slack)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     with (out / "figure1.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster", "w_t", "w1_paired", "w1_overall", "delta_c", "bound_holds"])
@@ -286,24 +279,28 @@ def cmd_figure1(args) -> int:
     return EXIT_OK
 
 
+def _props_arg(text: str, flag: str) -> list:
+    """A ``--*-props`` JSON array, checked to be on the simplex and written as floats."""
+    props = json.loads(text)
+    if not training.has_kind(props, "tuple"):
+        raise ValueError(f"{flag} must be a JSON array, got {text}")
+    return ClassWeights(np.asarray(props, dtype=float)).w.tolist()
+
+
 def cmd_gen(args) -> int:
     """Generate a synthetic task and write it as CSV plus a manifest."""
     if args.task == "figure1":
         generator = {"name": "figure1", "sigma": args.sigma, "n_per_domain": args.n}
     else:
-        # Checked, and written as floats even when given as integers.
-        source_props, target_props = (
-            ClassWeights(np.asarray(json.loads(props), dtype=float)).w.tolist()
-            for props in (args.source_props, args.target_props)
-        )
         generator = {
             "name": "gmm", "k": args.k, "d": args.d,
             "mean_separation": args.separation, "target_mean_shift": args.shift,
-            "source_props": source_props, "target_props": target_props,
+            "source_props": _props_arg(args.source_props, "--source-props"),
+            "target_props": _props_arg(args.target_props, "--target-props"),
             "n_per_domain": args.n, "sigma": args.sigma,
         }
     source, target = _task_datasets(generator, args.seed)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     source.to_csv(out / "source.csv")
     target.to_csv(out / "target.csv")
     manifest = source.manifest(seed=args.seed, generator=generator)

@@ -32,6 +32,14 @@ class AuditError(RuntimeError, ValueError):
     """The paired-distance audit failed on every retry: the task's parameters are at fault."""
 
 
+def capped_indices(rng: np.random.Generator, n: int, cap: int) -> np.ndarray:
+    """All of ``range(n)`` when ``n <= cap`` (drawing nothing from ``rng``), else
+    ``cap`` distinct indices drawn from ``rng``."""
+    if n <= cap:
+        return np.arange(n)
+    return rng.choice(n, size=cap, replace=False)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A dense feature matrix with optional class labels."""
@@ -167,14 +175,8 @@ def _paired_distance_audit(source: "Dataset", target: "Dataset", rng) -> bool:
     parts_t = [target.features[r] for r in class_rows(target.labels, k)]
     if any(p.shape[0] == 0 for p in parts_s + parts_t):
         return False
-
-    def sub(p):
-        if p.shape[0] <= AUDIT_SUBSAMPLE:
-            return p
-        return p[rng.choice(p.shape[0], AUDIT_SUBSAMPLE, replace=False)]
-
-    parts_s = [sub(p) for p in parts_s]
-    parts_t = [sub(p) for p in parts_t]
+    parts_s = [p[capped_indices(rng, len(p), AUDIT_SUBSAMPLE)] for p in parts_s]
+    parts_t = [p[capped_indices(rng, len(p), AUDIT_SUBSAMPLE)] for p in parts_t]
     dist = ot.w1_matrix(parts_s, parts_t, reg=0.05, max_iter=2000, tol=1e-5)
     for i in range(k):
         others = np.delete(dist[i], i)
@@ -208,6 +210,13 @@ def make_shifted_gmm(
         raise ValueError("scale parameters must be positive")
     if source_props.k != k or target_props.k != k:
         raise ValueError("proportion vectors must have length K")
+    for domain, props in (("source", source_props), ("target", target_props)):
+        empty = np.flatnonzero(props.w <= 0)
+        if k > 1 and empty.size:
+            raise AuditError(
+                f"paired-distance audit failed: class {empty[0]} has proportion 0 in the "
+                f"{domain} domain, so it is empty in every draw"
+            )
     means_s = _grid_means(k, d, mean_separation)
     for attempt in range(AUDIT_RETRIES):
         rng = np.random.default_rng(seed + 1000 * attempt)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds, nn, ot
-from .synthdata import Dataset
+from .synthdata import Dataset, capped_indices
 from .weights import ClassWeights, class_rows
 
 
@@ -243,12 +243,6 @@ def default_networks(d: int, k: int, config: DarsaConfig, rng: np.random.Generat
     return encoder, classifier
 
 
-def _draw_batch(rng: np.random.Generator, n: int, batch_size: int) -> np.ndarray:
-    if n <= batch_size:
-        return np.arange(n)
-    return rng.choice(n, size=batch_size, replace=False)
-
-
 def pretrain(
     encoder_s: nn.NetworkParams,
     classifier: nn.NetworkParams,
@@ -266,7 +260,7 @@ def pretrain(
     steps = max(1, int(np.ceil(source.n / config.batch_size)))
     for _ in range(config.pretrain_epochs):
         for _ in range(steps):
-            idx = _draw_batch(rng, source.n, config.batch_size)
+            idx = capped_indices(rng, source.n, config.batch_size)
             xb, yb = source.features[idx], source.labels[idx]
             feats, cache_enc = nn.forward(encoder_s, xb)
             logits, cache_cls = nn.forward(classifier, feats)
@@ -372,13 +366,8 @@ def _epoch_snapshot(
     # Bound estimates on a capped, seed-derived subsample: the transport
     # solves dominate epoch time at full data size.
     snap_rng = np.random.default_rng(config.seed * 100003 + epoch)
-
-    def _sub(n):
-        if n <= config.snapshot_max:
-            return np.arange(n)
-        return snap_rng.choice(n, size=config.snapshot_max, replace=False)
-
-    idx_s, idx_t = _sub(source.n), _sub(target.n)
+    idx_s = capped_indices(snap_rng, source.n, config.snapshot_max)
+    idx_t = capped_indices(snap_rng, target.n, config.snapshot_max)
     report = bounds.bound_report(
         feat_s[idx_s], preds_s[idx_s], source.labels[idx_s],
         feat_t[idx_t], pseudo_t[idx_t], w_t,
@@ -395,8 +384,6 @@ def fit(
     target: Dataset,
     config: DarsaConfig,
     eval_labels=None,
-    encoder: nn.NetworkParams | None = None,
-    classifier: nn.NetworkParams | None = None,
 ):
     """Run the full training loop and return ``(models, metrics)``.
 
@@ -418,18 +405,13 @@ def fit(
 
     k = source.k
     rng = np.random.default_rng(config.seed)
-    if encoder is None or classifier is None:
-        built_enc, built_cls = default_networks(source.dim, k, config, rng)
-        encoder = encoder if encoder is not None else built_enc
-        classifier = classifier if classifier is not None else built_cls
-
+    encoder, classifier = default_networks(source.dim, k, config, rng)
     w_s = ClassWeights.from_labels(source.labels, k)
     try:
         encoder_s, classifier = pretrain(encoder, classifier, source, config, rng=rng)
     except _FAILURES as exc:
         raise TrainingError(0, -1, exc) from exc
     encoder_t = encoder_s  # immutable; updates below fork the parameters
-    w_t = ClassWeights.uniform(k)
 
     vel_cls = nn.zero_velocity(classifier)
     vel_es = nn.zero_velocity(encoder_s)
@@ -448,8 +430,8 @@ def fit(
         sums = np.zeros(4)
         skipped_pairs = 0
         for batch_idx in range(steps):
-            idx_s = _draw_batch(rng, source.n, config.batch_size)
-            idx_t = _draw_batch(rng, target.n, config.batch_size)
+            idx_s = capped_indices(rng, source.n, config.batch_size)
+            idx_t = capped_indices(rng, target.n, config.batch_size)
             try:
                 step = compute_step_gradients(
                     encoder_s, encoder_t, classifier,

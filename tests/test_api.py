@@ -40,6 +40,14 @@ def test_sinkhorn_signature():
     assert params["return_info"].default is False
 
 
+def test_fit_signature():
+    # fit builds its own networks; a caller sets only the data, config and
+    # evaluation labels.
+    assert list(inspect.signature(training.fit).parameters) == [
+        "source", "target", "config", "eval_labels",
+    ]
+
+
 def test_solves_resolve_through_ot_module(monkeypatch):
     # A replacement of ot.sinkhorn or ot.euclidean_cost_matrix must see
     # every empirical solve, whichever public function starts it.

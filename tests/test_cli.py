@@ -11,6 +11,7 @@ from referencing import Registry, Resource
 import darsa
 from darsa.cli import _task_datasets, main
 from darsa.synthdata import Dataset, make_figure1_task
+from darsa.training import DarsaConfig, DarsaModels, default_networks
 
 SCHEMA_DIR = Path(darsa.__file__).parent / "schemas"
 
@@ -184,6 +185,43 @@ def test_bounds_figure1(figure1_csvs, tmp_path, capsys):
     csv_text = (out_dir / "bound_comparison.csv").read_text().splitlines()
     assert csv_text[0].startswith("epoch,gamma_s,")
     assert len(csv_text) == 2
+
+
+def test_bound_csv_header(figure1_csvs, tmp_path):
+    # The epoch, every BoundReport term except the skip count, the verdict.
+    src, tgt = figure1_csvs
+    out_dir = tmp_path / "bounds"
+    assert main(["bounds", "--source", str(src), "--target", str(tgt), "--out", str(out_dir)]) == 0
+    header = (out_dir / "bound_comparison.csv").read_text().splitlines()[0]
+    assert header == (
+        "epoch,gamma_s,gamma_s_weighted,disc_overall,disc_weighted,delta_c,"
+        "eps_g_partial,eps_c_partial,holds"
+    )
+
+
+def _checkpoint():
+    encoder, classifier = default_networks(1, 2, DarsaConfig(), np.random.default_rng(0))
+    return DarsaModels(encoder, encoder, classifier).to_dict()
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda ck: [1],
+        lambda ck: {**ck, "encoder_t": [1]},
+        lambda ck: {**ck, "classifier": {**ck["classifier"], "layers": 5}},
+    ],
+    ids=["list", "network-list", "layers-int"],
+)
+def test_bounds_malformed_checkpoint_exits_two(figure1_csvs, tmp_path, capsys, broken):
+    src, tgt = figure1_csvs
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(broken(_checkpoint())))
+    out_dir = tmp_path / "bounds"
+    argv = ["bounds", "--source", str(src), "--target", str(tgt), "--checkpoint", str(path)]
+    assert main([*argv, "--out", str(out_dir)]) == 2
+    assert "malformed checkpoint" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_bounds_identical_domains(figure1_csvs, tmp_path):
@@ -443,6 +481,15 @@ def test_paired_distance_audit_failure_exits_two(tmp_path, capsys, command):
         argv = ["train", "--config", str(_train_config(tmp_path, task=task))]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert "paired-distance audit failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--source-props", "--target-props"])
+@pytest.mark.parametrize("value", ["{}", '"abc"'])
+def test_gen_props_must_be_json_array(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "out"
+    assert main(["gen", "--task", "gmm", flag, value, "--out", str(out_dir)]) == 2
+    assert f"{flag} must be a JSON array" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_gen_gmm_deterministic(tmp_path):

@@ -5,7 +5,9 @@ import pytest
 
 from darsa.ot import w1_empirical, w1_exact_1d
 from darsa.synthdata import (
+    AuditError,
     Dataset,
+    capped_indices,
     make_figure1_task,
     make_shifted_gmm,
     resample_with_props,
@@ -127,6 +129,33 @@ def test_shifted_gmm_audit_failure_is_error():
         # Offset larger than the class gap cannot satisfy the paired
         # property in any direction.
         make_shifted_gmm(2, 1, 0.5, 2.0, props, props, 200, 0.05, seed=11)
+
+
+@pytest.mark.parametrize("domain", ["source", "target"])
+def test_shifted_gmm_zero_proportion_names_empty_class(domain):
+    # A class of proportion 0 is empty in every draw, so no retry can pass
+    # the audit; the error names the class instead of advising on the means.
+    props = {"source_props": ClassWeights(np.array([0.6, 0.2, 0.2])),
+             "target_props": ClassWeights(np.array([0.2, 0.2, 0.6]))}
+    props[f"{domain}_props"] = ClassWeights(np.array([0.5, 0.0, 0.5]))
+    with pytest.raises(AuditError, match="paired-distance audit failed") as info:
+        make_shifted_gmm(3, 2, 1.2, 0.5, n_per_domain=60, sigma=0.3, seed=0, **props)
+    message = str(info.value)
+    assert f"class 1 has proportion 0 in the {domain} domain" in message
+    assert "mean_separation" not in message
+
+
+@pytest.mark.parametrize("n, cap", [(0, 4), (3, 4), (4, 4)])
+def test_capped_indices_keeps_all_without_drawing(n, cap):
+    rng = np.random.default_rng(7)
+    assert np.array_equal(capped_indices(rng, n, cap), np.arange(n))
+    assert rng.random() == np.random.default_rng(7).random()
+
+
+@pytest.mark.parametrize("n, cap", [(5, 4), (600, 128)])
+def test_capped_indices_draws_a_subset_without_replacement(n, cap):
+    expected = np.random.default_rng(7).choice(n, cap, replace=False)
+    assert np.array_equal(capped_indices(np.random.default_rng(7), n, cap), expected)
 
 
 # ---------------------------------------------------------------------------
