@@ -1,0 +1,226 @@
+"""Replay every Sinkhorn solve of the perfbench workloads against two source trees.
+
+    python3 benchmarks/replay.py --base <other checkout>/src [--change src] \
+        [--workloads fit-gmm train-figure1] [--seed 0] [--passes 5] \
+        [--out BENCH_solver.json]
+
+For each workload, the set-up and one round of perfbench operations
+(``perfbench/workloads.py``, the same inputs as ``perfbench/run.py --seconds
+10`` at ``--seed``) run once with ``darsa.ot.sinkhorn`` wrapped, and every
+call's inputs are kept in memory.
+Nothing is written but the report. The captured solves are then replayed
+against the ``sinkhorn`` of both trees, interleaved solve by solve (the order
+of the two trees alternates from solve to solve and from pass to pass), and
+each call is timed in process CPU time with BLAS and OpenMP pinned to one
+thread. The workloads run on the ``--change`` tree.
+
+The report, printed and written as JSON, gives per workload and per size
+class (``small``: both sides under 256 atoms; ``large``: the rest): solves,
+sweeps and cells (sweeps times n times m, as perfbench counts them), the
+median, lowest and highest CPU seconds over the passes, ns per cell at the
+median, the unconverged count (diverged solves included), and how many solves
+the two trees return bit for bit alike: iterations, residual, convergence
+flag, cost and coupling, or the same divergence. Replay numbers are evidence
+for a solver change, never a test gate.
+"""
+
+from __future__ import annotations
+
+import os
+
+# Pin BLAS and OpenMP to one thread before numpy is imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import gc
+import hashlib
+import importlib
+import importlib.util
+import json
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = ("fit-gmm", "train-figure1", "ot-mixture", "figure1-diag")
+SMALL_SIDE = 256  # a solve is small when both sides have fewer atoms than this
+RUN_SECONDS = 10  # the --seconds of the perfbench runs whose inputs are captured
+
+
+class Solve(NamedTuple):
+    cost: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    reg: float
+    max_iter: int
+    tol: float
+
+    @property
+    def small(self) -> bool:
+        return max(self.cost.shape) < SMALL_SIDE
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="src directory of the tree to compare against")
+    parser.add_argument("--change", default=str(ROOT / "src"), help="src directory of the changed tree")
+    parser.add_argument("--base-label", default="base", help="name of the base tree in the report")
+    parser.add_argument("--change-label", default="change", help="name of the changed tree in the report")
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--seed", type=int, default=0, help="perfbench workload seed")
+    parser.add_argument("--passes", type=int, default=5, help="timed passes over the captured solves")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_solver.json"), help="JSON report path")
+    return parser.parse_args(argv)
+
+
+def load_ot(src: Path, name: str):
+    """The ``ot`` module of the darsa package under ``src``, imported as package ``name``."""
+    init = src / "darsa" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"error: no darsa package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.ot")
+
+
+def capture(workload_name: str, seed: int, change_src: Path) -> list:
+    """Inputs of every ``sinkhorn`` call in the set-up and one round of a perfbench workload."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path[:0] = [str(change_src), str(PERFBENCH)]
+    import darsa.ot
+    import workloads
+
+    solves = []
+    solver = darsa.ot.sinkhorn
+
+    def recording(cost_matrix, a, b, reg, max_iter=1000, tol=1e-6, return_info=False):
+        solves.append(Solve(np.array(cost_matrix, dtype=float, order="K"), np.array(a, dtype=float),
+                            np.array(b, dtype=float), float(reg), int(max_iter), float(tol)))
+        return solver(cost_matrix, a, b, reg, max_iter=max_iter, tol=tol, return_info=return_info)
+
+    with tempfile.TemporaryDirectory() as workdir:
+        workload = workloads.WORKLOADS[workload_name](Path(workdir), seed, RUN_SECONDS, False)
+        darsa.ot.sinkhorn = recording
+        try:
+            workload.setup()
+            for op in workload.round():
+                op.run()
+        finally:
+            darsa.ot.sinkhorn = solver
+    return solves
+
+
+def solve_once(ot, solve: Solve):
+    """CPU nanoseconds of one solve, and its outcome as comparable values."""
+    start = time.process_time_ns()
+    try:
+        plan, info = ot.sinkhorn(solve.cost, solve.a, solve.b, solve.reg,
+                                 max_iter=solve.max_iter, tol=solve.tol, return_info=True)
+    except ot.SinkhornDivergenceError as exc:
+        elapsed = time.process_time_ns() - start
+        return elapsed, ("diverged", exc.iterations, float(exc.residual).hex())
+    elapsed = time.process_time_ns() - start
+    digest = hashlib.sha256(plan.coupling.tobytes()).hexdigest()
+    return elapsed, (info.iterations, float(info.residual).hex(), info.converged,
+                     float(plan.cost).hex(), digest)
+
+
+def replay(solves: list, trees: dict, passes: int) -> dict:
+    """Per tree and size class: CPU seconds of each pass, sweeps, unconverged; and matches."""
+    labels = list(trees)
+    groups = {"small": [i for i, s in enumerate(solves) if s.small],
+              "large": [i for i, s in enumerate(solves) if not s.small]}
+    cpu = {label: {g: [0] * passes for g in groups} for label in labels}
+    outcomes = {label: [None] * len(solves) for label in labels}
+    for p in range(passes):
+        gc.collect()
+        for i, solve in enumerate(solves):
+            group = "small" if solve.small else "large"
+            order = labels if (i + p) % 2 == 0 else labels[::-1]
+            for label in order:
+                elapsed, outcome = solve_once(trees[label], solve)
+                cpu[label][group][p] += elapsed
+                if outcomes[label][i] is None:
+                    outcomes[label][i] = outcome
+                elif outcomes[label][i] != outcome:
+                    raise RuntimeError(f"{label}: solve {i} gave another result on pass {p}")
+    report = {}
+    for group, members in groups.items():
+        if not members:
+            continue
+        entry = {"solves": len(members), "sweeps": {}, "cells": {}, "cpu_s": {},
+                 "ns_per_cell": {}, "unconverged": {}}
+        for label in labels:
+            sweeps = cells = unconverged = 0
+            for i in members:
+                outcome = outcomes[label][i]
+                diverged = outcome[0] == "diverged"
+                iterations = outcome[1] if diverged else outcome[0]
+                sweeps += iterations
+                cells += iterations * solves[i].cost.size
+                unconverged += diverged or not outcome[2]
+            times = [ns / 1e9 for ns in cpu[label][group]]
+            median = statistics.median(times)
+            entry["sweeps"][label] = sweeps
+            entry["cells"][label] = cells
+            entry["cpu_s"][label] = {"median": round(median, 4), "min": round(min(times), 4),
+                                     "max": round(max(times), 4)}
+            entry["ns_per_cell"][label] = round(median * 1e9 / cells, 3) if cells else 0.0
+            entry["unconverged"][label] = unconverged
+        entry["identical"] = sum(outcomes[labels[0]][i] == outcomes[labels[1]][i] for i in members)
+        report[group] = entry
+    return report
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if args.base_label == args.change_label:
+        raise SystemExit("error: the two trees need different labels")
+    change_src = Path(args.change).resolve()
+    trees = {args.base_label: load_ot(Path(args.base).resolve(), "replay_base"),
+             args.change_label: load_ot(change_src, "replay_change")}
+    results = {}
+    for name in args.workloads:
+        solves = capture(name, args.seed, change_src)
+        results[name] = replay(solves, trees, args.passes)
+        del solves
+        for group, entry in results[name].items():
+            cpu = " ".join(f"{label} {entry['cpu_s'][label]['median']:.4f} s"
+                           f" ({entry['ns_per_cell'][label]:.2f} ns/cell)" for label in trees)
+            print(f"{name:14s} {group:5s} {entry['solves']:4d} solves, "
+                  f"{entry['identical']} identical, sweeps "
+                  f"{' / '.join(str(entry['sweeps'][label]) for label in trees)}: {cpu}")
+    report = {
+        "about": "Captured Sinkhorn solves of the set-up and one operation round of each "
+                 "perfbench workload, replayed "
+                 "against two source trees, interleaved, in process CPU time with one BLAS "
+                 "thread. cpu_s is over passes; ns_per_cell is the median pass over sweeps "
+                 "times n times m; identical counts solves whose outcome matches bit for bit.",
+        "command": "python3 benchmarks/replay.py --base <base src> --change <change src> "
+                   f"--seed {args.seed} --passes {args.passes}",
+        "trees": {"base": args.base_label, "change": args.change_label},
+        "seed": args.seed,
+        "passes": args.passes,
+        "machine": {"python": platform.python_version(), "numpy": np.__version__,
+                    "blas_threads": 1, "cpus": os.cpu_count()},
+        "workloads": results,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

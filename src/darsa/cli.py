@@ -174,6 +174,11 @@ def cmd_bounds(args) -> int:
 def _task_datasets(task: dict, seed: int):
     """Source and target of a ``train`` task; a ``gen`` manifest's generator block is one."""
     name = task.get("name")
+    required = {"gmm": ("k", "d", "mean_separation", "target_mean_shift", "source_props",
+                        "target_props", "n_per_domain", "sigma"), "csv": ("source", "target")}
+    missing = [key for key in required.get(name, ()) if key not in task]
+    if missing:
+        raise ValueError(f"{name} task is missing {', '.join(map(repr, missing))}")
     if name == "figure1":
         return make_figure1_task(
             sigma=task.get("sigma", 0.05),

@@ -22,6 +22,7 @@ to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -38,6 +39,7 @@ EPS_FACTOR = 4  # sinkhorn's ε-scaling divides reg by this from stage to stage,
 EPS_START = 64  # starting at the smallest such reg with max(C)/reg at most this;
 STAGE_TOL = 1e-2  # an intermediate stage stops at this L1 residual
 TINY = np.finfo(float).tiny  # a kernel row or column summing below this underflowed
+TEST_WINDOW = 64  # sinkhorn tests for absorption at least once in this many sweeps
 
 
 class SinkhornDivergenceError(RuntimeError):
@@ -270,6 +272,26 @@ def _fill_kernel(kernel, cost, reg, f, g) -> None:
     np.exp(np.add(kernel, g, out=kernel), out=kernel)
 
 
+def _sweeps_to_next_test(spread, row, a, ratio, limit) -> int:
+    """Sweeps from one absorption test of ``sinkhorn`` to the next: the
+    first sweep after which a scaling could have left ``exp(limit)``.
+
+    ``spread`` is ``max(u, v, 1/u, 1/v)`` at the test and ``row = u * K v``,
+    so ``row / a`` (written into ``ratio``) is ``u`` over the coming ``u``.
+    """
+    room = limit - math.log(spread)
+    if not room >= 0:
+        return 1
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(row, a, out=ratio)
+        step = max(ratio.max(), 1.0 / ratio.min())
+    if not step < math.inf:
+        return 1
+    if step == 1.0:
+        return TEST_WINDOW
+    return min(TEST_WINDOW, 1 + int(room / math.log(step)))
+
+
 def sinkhorn(
     cost_matrix,
     a,
@@ -287,7 +309,13 @@ def sinkhorn(
     A scaling that leaves ``[1/SCALING_BOUND, SCALING_BOUND]`` is absorbed
     into the log-domain potentials of ``K = exp(f + -C/reg + g)`` and ``K``
     rebuilt (log-domain absorption; Schmitzer, SISC 2019), which keeps the
-    iteration stable for small ``reg``.
+    iteration stable for small ``reg``. The test for it runs on each
+    stage's first sweep and then at most ``TEST_WINDOW`` sweeps apart: the
+    update is non-expansive in the sup norm, so the scalings and the size
+    of the next update at one test bound how many sweeps cannot reach
+    ``SCALING_BOUND`` (or push ``K v``, ``Kᵀ u`` out of the normal range),
+    and the next test follows them. The sweeps, and so every result, are
+    the same as with a test on every sweep.
 
     When ``max(C)/reg`` exceeds ``EPS_START``, the solve is annealed
     (ε-scaling; Schmitzer 2019, Feydy et al. 2019): it starts at
@@ -317,31 +345,64 @@ def sinkhorn(
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     cost = np.asarray(cost_matrix, dtype=float)
-    if cost.ndim != 2 or not np.all(np.isfinite(cost)):
+    if cost.ndim != 2:
         raise ValueError("cost matrix must be a finite 2-D array")
     n, m = cost.shape
     a = _check_marginal(a, n, "a")
     b = _check_marginal(b, m, "b")
+    # max and min propagate NaN, so they check finiteness without an n×m mask.
+    top = float(cost.max())
+    if not (math.isfinite(top) and math.isfinite(float(cost.min()))):
+        raise ValueError("cost matrix must be a finite 2-D array")
 
     # Zero-mass atoms receive zero plan rows/columns; solve the reduced
     # problem so that every scaling and potential stays finite.
     rows = np.flatnonzero(a > 0)
     cols = np.flatnonzero(b > 0)
     full = rows.size == n and cols.size == m
-    cost_r = cost if full else cost[np.ix_(rows, cols)]
-    a_r, b_r = a[rows], b[cols]
+    if full:
+        cost_r, a_r, b_r = cost, a, b
+    else:
+        cost_r, a_r, b_r = cost[np.ix_(rows, cols)], a[rows], b[cols]
+        top = float(cost_r.max())
 
     # ε-scaling: solve first at reg * EPS_FACTOR**stages, where C/reg is at
     # most EPS_START, then anneal toward reg, each stage starting from the
     # previous stage's potentials. Every stage needs its opening sweep, so
     # the schedule is cut to fit max_iter.
     stages = 0
-    top = float(cost_r.max())
     while top > EPS_START * reg * EPS_FACTOR**stages and stages < max_iter - 1:
         stages += 1
 
+    # Absorption is tested on a cadence, and a sweep goes untested only when
+    # the test provably could not fire on it, so every solve runs the same
+    # sweeps as with a test on every sweep. Between two absorptions of one
+    # stage K is fixed, and the updates log u = log a - log(K v) and
+    # log v = log b - log(Kᵀ u) are non-expansive in the sup norm (K ≥ 0;
+    # Peyré & Cuturi 2019, §4): no update moves log u or log v further than
+    # the update before it. So if a test finds every |log u|, |log v| ≤ M
+    # and the coming u-update moves log u by δ = max|log(u K v / a)|, then s
+    # sweeps later every |log u|, |log v| ≤ M + sδ, and the test cannot fire
+    # while M + sδ ≤ limit < log SCALING_BOUND. The same bound keeps
+    # K v = a / u ≥ min(a) e^-(M+sδ) and Kᵀ u = b / v ≥ min(b) e^-(M+sδ),
+    # and the limit also keeps these in the normal range, where the products
+    # round by at most about (n + m) eps per sweep. So atoms of tiny mass
+    # shorten it, down to a test on every sweep once min(a) or min(b) is
+    # within e of TINY. Over TEST_WINDOW sweeps at most, rounding stays far
+    # inside the limit's 1-nat margin.
+    limit = min(math.log(SCALING_BOUND), math.log(a_r.min() / TINY),
+                math.log(b_r.min() / TINY)) - 1.0
+
     f, g = np.zeros(rows.size), np.zeros(cols.size)
+    # Every buffer is made once: K, its transpose view, u and v in one
+    # vector (so that a test takes two reductions), K v, Kᵀ u, and the
+    # plan's row sums with a scratch vector for the test.
     kernel = np.empty_like(cost_r)
+    kernel_t = kernel.T
+    scalings = np.empty(rows.size + cols.size)
+    u, v = scalings[: rows.size], scalings[rows.size :]
+    kv, row, ratio = np.empty(rows.size), np.empty(rows.size), np.empty(rows.size)
+    kt_u = np.empty(cols.size)
     iterations = 0
     for stage in range(stages, -1, -1):
         stage_reg = reg * EPS_FACTOR**stage
@@ -350,39 +411,51 @@ def sinkhorn(
         # one exp pass, with a sweep from u = v = 1 that has no residual
         # check before it; the loop's first pass finishes that sweep.
         _fill_kernel(kernel, cost_r, stage_reg, f, g)
-        kv = kernel.sum(axis=1)
-        if kv.min() >= TINY:
-            u = a_r / kv
-            kt_u = kernel.T @ u
-        if kv.min() < TINY or kt_u.min() < TINY:
+        kernel.sum(axis=1, out=kv)
+        underflow = kv.min() < TINY
+        if not underflow:
+            np.divide(a_r, kv, out=u)
+            kernel_t.dot(u, out=kt_u)
+            underflow = kt_u.min() < TINY
+        if underflow:
             # A kernel row or column underflowed (atoms of tiny mass): run
             # the opening sweep on log-domain potentials instead.
             scaled = cost_r / -stage_reg
             f = np.log(a_r) - logsumexp(scaled + g, axis=1)
             g = np.log(b_r) - logsumexp(scaled + f[:, None], axis=0)
             _fill_kernel(kernel, cost_r, stage_reg, f, g)
-            u, kt_u = np.ones(rows.size), kernel.sum(axis=0)
+            u.fill(1.0)
+            kernel.sum(axis=0, out=kt_u)
         converged = False
+        next_test = iterations + 1  # the bound starts afresh with each stage
         while True:
-            v = b_r / kt_u
+            np.divide(b_r, kt_u, out=v)
             iterations += 1
-            if max(u.max(), v.max(), 1.0 / u.min(), 1.0 / v.min()) > SCALING_BOUND:
-                f += np.log(u)
-                g += np.log(v)
-                _fill_kernel(kernel, cost_r, stage_reg, f, g)
-                u, v = np.ones(rows.size), np.ones(cols.size)
+            testing = iterations == next_test
+            if testing:
+                spread = max(scalings.max(), 1.0 / scalings.min())
+                if spread > SCALING_BOUND:
+                    f += np.log(u)
+                    g += np.log(v)
+                    _fill_kernel(kernel, cost_r, stage_reg, f, g)
+                    scalings.fill(1.0)
+                    spread = 1.0
             # Leave one sweep for the opening of each stage still to come.
             if iterations >= max_iter - stage:
                 break
-            kv = kernel @ v
+            kernel.dot(v, out=kv)
+            np.multiply(u, kv, out=row)
+            if testing:
+                next_test = iterations + _sweeps_to_next_test(spread, row, a_r, ratio, limit)
             # Row sums of the current plan; columns are exact after each
             # v-update, so this is the full L1 violation.
-            residual = float(np.abs(u * kv - a_r).sum())
+            np.subtract(row, a_r, out=row)
+            residual = float(np.abs(row, out=row).sum())
             if residual <= stage_tol:
                 converged = True
                 break
-            u = a_r / kv
-            kt_u = kernel.T @ u
+            np.divide(a_r, kv, out=u)
+            kernel_t.dot(u, out=kt_u)
         if stage:
             # The potentials are in units of the stage's reg.
             f = (f + np.log(u)) * EPS_FACTOR

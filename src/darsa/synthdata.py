@@ -10,8 +10,10 @@ deterministic.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,21 +170,30 @@ def _grid_means(k: int, d: int, separation: float) -> np.ndarray:
     return separation * np.stack(digits, axis=1).astype(float)
 
 
-def _paired_distance_audit(source: "Dataset", target: "Dataset", rng) -> bool:
-    """Check per-class cross-domain W1 is smallest on the paired class."""
+class _AuditFailure(NamedTuple):
+    """Why a draw failed the paired-distance audit."""
+
+    label: int  # the failing class
+    empty_in: str | None  # the domain whose draw left it empty; None if it is nearer another class
+
+
+def _paired_distance_audit(source: "Dataset", target: "Dataset", rng) -> _AuditFailure | None:
+    """None if every class's cross-domain W1 is smallest on its own pair, else why not."""
     k = source.k
     parts_s = [source.features[r] for r in class_rows(source.labels, k)]
     parts_t = [target.features[r] for r in class_rows(target.labels, k)]
-    if any(p.shape[0] == 0 for p in parts_s + parts_t):
-        return False
+    for domain, parts in (("source", parts_s), ("target", parts_t)):
+        for label, part in enumerate(parts):
+            if part.shape[0] == 0:
+                return _AuditFailure(label, domain)
     parts_s = [p[capped_indices(rng, len(p), AUDIT_SUBSAMPLE)] for p in parts_s]
     parts_t = [p[capped_indices(rng, len(p), AUDIT_SUBSAMPLE)] for p in parts_t]
     dist = ot.w1_matrix(parts_s, parts_t, reg=0.05, max_iter=2000, tol=1e-5)
     for i in range(k):
         others = np.delete(dist[i], i)
         if others.size and dist[i, i] > others.min():
-            return False
-    return True
+            return _AuditFailure(i, None)
+    return None
 
 
 def make_shifted_gmm(
@@ -218,6 +229,7 @@ def make_shifted_gmm(
                 f"{domain} domain, so it is empty in every draw"
             )
     means_s = _grid_means(k, d, mean_separation)
+    empty = Counter()  # (class, domain) of each draw that left a class empty
     for attempt in range(AUDIT_RETRIES):
         rng = np.random.default_rng(seed + 1000 * attempt)
         if target_mean_shift > 0:
@@ -233,8 +245,18 @@ def make_shifted_gmm(
         xt, yt = ot.sample_gmm(tgt_mix, n_per_domain, sub_seed + 1)
         source = Dataset(xs, ys, k)
         target = Dataset(xt, yt, k)
-        if k == 1 or _paired_distance_audit(source, target, rng):
+        failure = None if k == 1 else _paired_distance_audit(source, target, rng)
+        if failure is None:
             return source, target
+        if failure.empty_in:
+            empty[failure.label, failure.empty_in] += 1
+    if empty.total() == AUDIT_RETRIES:
+        (label, domain), draws = empty.most_common(1)[0]
+        raise AuditError(
+            f"paired-distance audit failed {AUDIT_RETRIES} times: every draw left a class "
+            f"empty, class {label} of the {domain} domain in {draws} of them; raise "
+            f"n_per_domain or the {domain} proportion of class {label}"
+        )
     raise AuditError(
         f"paired-distance audit failed {AUDIT_RETRIES} times; "
         "increase mean_separation or reduce target_mean_shift"

@@ -367,6 +367,24 @@ def test_malformed_json_input_exits_two(tmp_path, capsys, command, document, mes
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        ({key: v for key, v in GMM_TASK.items() if key != "d"}, "gmm task is missing 'd'"),
+        ({"name": "gmm", "k": 2, "d": 2, "mean_separation": 1.0, "target_mean_shift": 0.5,
+          "source_props": [0.5, 0.5], "target_props": [0.5, 0.5], "n_per_domain": 50},
+         "gmm task is missing 'sigma'"),
+        ({"name": "gmm", "k": 2}, "gmm task is missing 'd', 'mean_separation', "),
+        ({"name": "csv", "source": "s.csv"}, "csv task is missing 'target'"),
+    ],
+)
+def test_train_task_missing_key_exits_two(tmp_path, capsys, task, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"task": task}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_snapshot_divergence_exits_four(tmp_path, capsys):
     # With no discrepancy term the steps run no solve, so the first solve is
     # the epoch-1 snapshot's; one sweep cannot reach tol 1e-9. The snapshot is
@@ -481,6 +499,14 @@ def test_paired_distance_audit_failure_exits_two(tmp_path, capsys, command):
         argv = ["train", "--config", str(_train_config(tmp_path, task=task))]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert "paired-distance audit failed" in capsys.readouterr().err
+
+
+def test_gen_class_empty_by_chance_exits_two(tmp_path, capsys):
+    # Two points per domain leave some class empty in every draw.
+    assert main(["gen", "--task", "gmm", "--n", "2", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "every draw left a class empty" in err
+    assert "raise n_per_domain" in err
 
 
 @pytest.mark.parametrize("flag", ["--source-props", "--target-props"])

@@ -240,6 +240,16 @@ def test_sinkhorn_divergence_error():
     assert excinfo.value.residual > 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 5, 11])
+def test_sinkhorn_rejects_non_finite_cost(bad, where):
+    # The check reads only max and min, through which NaN propagates.
+    cost = np.random.default_rng(8).random((3, 4))
+    cost.flat[where] = bad
+    with pytest.raises(ValueError, match="finite 2-D array"):
+        sinkhorn(cost, np.full(3, 1 / 3), np.full(4, 0.25), reg=0.1)
+
+
 def _log_domain_sinkhorn(cost, a, b, reg, max_iter, tol):
     """Reference: the same ε-scaling schedule, sweeps, residual and stopping
     rule, run entirely on log-domain potentials. Returns ``(cost,
@@ -365,6 +375,89 @@ def test_sinkhorn_underflowing_stage_opening(ratio, transpose):
     assert (info.iterations, info.converged) == (iterations_want, converged_want)
     assert info.converged
     assert plan.cost == pytest.approx(cost_want, rel=1e-9)
+
+
+def _exact_outcome(cost, a, b, reg, max_iter, tol):
+    """Everything a solve returns, bit for bit, with RuntimeWarning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            plan, info = sinkhorn(cost, a, b, reg, max_iter=max_iter, tol=tol, return_info=True)
+        except SinkhornDivergenceError as exc:
+            return ("diverged", exc.iterations, float(exc.residual).hex())
+    return info, float(plan.cost).hex(), plan.coupling.tobytes()
+
+
+def test_sinkhorn_absorbs_between_two_tests(monkeypatch):
+    # At C/reg 1e5, with an atom of mass 1e-20, a scaling leaves
+    # SCALING_BOUND a few sweeps after the test that opens a stage. The
+    # cadence must bring the next test onto exactly that sweep: the solve
+    # equals one that tests every sweep, bit for bit, where a fixed cadence
+    # of 8 sweeps absorbs late and moves the last digits.
+    rng = np.random.default_rng(10)
+    cost = euclidean_cost_matrix(rng.normal(size=(4, 2)), rng.normal(size=(6, 2)))
+    a = rng.random(4) + 0.1
+    a[0] = 0.0
+    a = a / a.sum()
+    a[0] = 1e-20
+    b = rng.random(6) + 0.1
+    b = b / b.sum()
+    reg = float(cost.max()) / 1e5
+    got = _exact_outcome(cost, a, b, reg, 5000, 1e-3)
+    info = got[0]
+    cost_want, iterations_want, _, converged_want = _log_domain_sinkhorn(
+        cost, a, b, reg, 5000, 1e-3
+    )
+    assert (info.iterations, info.converged) == (iterations_want, converged_want)
+    assert info.converged
+    assert float.fromhex(got[1]) == pytest.approx(cost_want, rel=1e-9)
+    monkeypatch.setattr(ot, "TEST_WINDOW", 1)
+    assert _exact_outcome(cost, a, b, reg, 5000, 1e-3) == got
+    monkeypatch.setattr(ot, "_sweeps_to_next_test", lambda *args: 8)
+    assert _exact_outcome(cost, a, b, reg, 5000, 1e-3) != got
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    log_tiny=st.sampled_from([None, -20.0, -150.0, -290.0, -306.0]),
+    log_ratio=st.floats(-1.0, 5.0),
+    log_tol=st.floats(-9.0, -3.0),
+    max_iter=st.integers(1, 2000),
+)
+def test_sinkhorn_cadence_matches_a_test_every_sweep(
+    n, m, seed, log_tiny, log_ratio, log_tol, max_iter
+):
+    # Random clouds and marginals, zero-mass atoms and one atom of tiny mass
+    # on each side, C/reg from 0.1 to 1e5: absorbing only on the sweeps the
+    # cadence tests gives what a test on every sweep gives, bit for bit.
+    rng = np.random.default_rng(seed)
+    cost = euclidean_cost_matrix(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)) + rng.normal())
+    a = rng.random(n) * (rng.random(n) >= 0.3)
+    b = rng.random(m) * (rng.random(m) >= 0.3)
+    a[0] += 0.1
+    b[0] += 0.1
+    a, b = a / a.sum(), b / b.sum()
+    if log_tiny is not None:
+        for p in (a, b):
+            if p.size > 1:
+                p[0] += p[-1] - 10.0**log_tiny
+                p[-1] = 10.0**log_tiny
+    reg = max(float(cost.max()), 1e-3) / 10.0**log_ratio
+    tol = 10.0**log_tol
+    try:
+        got = _exact_outcome(cost, a, b, reg, max_iter, tol)
+    except RuntimeWarning:
+        got = "warned"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ot, "TEST_WINDOW", 1)
+        try:
+            want = _exact_outcome(cost, a, b, reg, max_iter, tol)
+        except RuntimeWarning:
+            want = "warned"
+    assert got == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

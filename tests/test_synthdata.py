@@ -1,7 +1,12 @@
 """Tests for the synthetic task generators and dataset plumbing."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from darsa.ot import w1_empirical, w1_exact_1d
 from darsa.synthdata import (
@@ -145,6 +150,26 @@ def test_shifted_gmm_zero_proportion_names_empty_class(domain):
     assert "mean_separation" not in message
 
 
+@pytest.mark.parametrize("n, props", [(2, [0.6, 0.2, 0.2]), (300, [0.998, 0.001, 0.001])])
+def test_shifted_gmm_class_empty_by_chance_names_class(n, props):
+    # With two points per domain, or proportions of 0.001 at 300 points, a
+    # class is empty by chance in every draw; the error names the class
+    # most often empty and advises more points or a larger proportion for
+    # it, not a change of the means.
+    with pytest.raises(AuditError, match="every draw left a class empty") as info:
+        make_shifted_gmm(
+            3, 2, 1.2, 0.5, ClassWeights(np.array(props)), ClassWeights(np.array([0.2, 0.2, 0.6])),
+            n_per_domain=n, sigma=0.3, seed=0,
+        )
+    message = str(info.value)
+    assert re.search(
+        r"class (\d) of the (source|target) domain in \d+ of them; "
+        r"raise n_per_domain or the \2 proportion of class \1$",
+        message,
+    ), message
+    assert "mean_separation" not in message
+
+
 @pytest.mark.parametrize("n, cap", [(0, 4), (3, 4), (4, 4)])
 def test_capped_indices_keeps_all_without_drawing(n, cap):
     rng = np.random.default_rng(7)
@@ -230,6 +255,36 @@ def test_dataset_csv_roundtrip_unlabeled(tmp_path):
     restored = Dataset.from_csv(path)
     assert restored.labels is None
     assert np.array_equal(restored.features, data.features)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    features=st.integers(1, 12).flatmap(
+        lambda n: arrays(np.float64, (n, 3), elements=st.floats(allow_nan=False, allow_infinity=False))
+    ),
+    d=st.integers(1, 3),
+    k=st.integers(1, 4),
+    labeled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dataset_csv_roundtrip_exact_property(tmp_path_factory, features, d, k, labeled, seed):
+    # Any finite values, subnormals, -0.0 and the largest doubles included,
+    # come back bit for bit; labels and K come back exactly.
+    features = features[:, :d]
+    labels = None
+    if labeled:
+        labels = np.random.default_rng(seed).integers(0, k, size=len(features))
+        labels[0] = k - 1
+    data = Dataset(features, labels, k if labeled else 1)
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    data.to_csv(path)
+    restored = Dataset.from_csv(path)
+    assert restored.features.shape == data.features.shape
+    assert restored.features.tobytes() == data.features.tobytes()
+    assert (restored.labels is None) == (labels is None)
+    if labeled:
+        assert np.array_equal(restored.labels, data.labels)
+    assert restored.k == data.k
 
 
 def test_dataset_csv_malformed_header(tmp_path):

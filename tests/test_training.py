@@ -1,8 +1,13 @@
 """Tests for the training driver: determinism, update scopes, weights."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from darsa import bounds, nn
 from darsa.ot import euclidean_cost_matrix
@@ -236,6 +241,38 @@ def test_checkpoint_roundtrip():
     assert np.array_equal(
         restored.classifier.layers[-1].bias, models.classifier.layers[-1].bias
     )
+
+
+@st.composite
+def _networks(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return nn.NetworkParams(tuple(
+        nn.Layer(draw(arrays(np.float64, (fan_out, fan_in), elements=finite)),
+                 draw(arrays(np.float64, fan_out, elements=finite)),
+                 draw(st.sampled_from(nn.ACTIVATIONS)))
+        for fan_in, fan_out in zip(sizes, sizes[1:])
+    ))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(encoder_s=_networks(), encoder_t=_networks(), classifier=_networks())
+def test_checkpoint_json_roundtrip_exact_property(encoder_s, encoder_t, classifier):
+    # Through the checkpoint's JSON text, any finite parameters (subnormals,
+    # -0.0 and the largest doubles included) come back bit for bit, with
+    # their shapes and activation tags, and serialise to the same text.
+    models = DarsaModels(encoder_s, encoder_t, classifier)
+    text = json.dumps(models.to_dict())
+    restored = DarsaModels.from_dict(json.loads(text))
+    for net, back in zip((encoder_s, encoder_t, classifier),
+                         (restored.encoder_s, restored.encoder_t, restored.classifier)):
+        assert len(back.layers) == len(net.layers)
+        for layer, layer_back in zip(net.layers, back.layers):
+            assert layer_back.weight.shape == layer.weight.shape
+            assert layer_back.weight.tobytes() == layer.weight.tobytes()
+            assert layer_back.bias.tobytes() == layer.bias.tobytes()
+            assert layer_back.activation == layer.activation
+    assert json.dumps(restored.to_dict()) == text
 
 
 # ---------------------------------------------------------------------------
