@@ -219,9 +219,8 @@ def cmd_train(args) -> int:
     log_every = experiment.get("log_every", 1)
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
-    out = _out_dir(args.out if args.out is not None else experiment.get("out_dir", "."))
-
     source, target = _task_datasets(task, config.seed)
+    out = _out_dir(args.out if args.out is not None else experiment.get("out_dir", "."))
     models, metrics = training.fit(source, target, config, eval_labels=target.labels)
 
     kept = [

@@ -1,10 +1,11 @@
 """Optimal-transport distances.
 
 Exact small-scale solvers, a Sinkhorn solver for entropic regularized
-transport (stabilized scaling with ε-scaling; a stage opens with one exp
-pass from the carried potentials, and with a log-domain sweep only on
-underflow), Gaussian closed forms, and the mixture-level Wasserstein
-distance used to compare sub-domain decompositions.
+transport (stabilized scaling with ε-scaling and adaptive
+over-relaxation; a stage opens with one exp pass from the carried
+potentials, and with a log-domain sweep only on underflow), Gaussian
+closed forms, and the mixture-level Wasserstein distance used to compare
+sub-domain decompositions.
 
 Conventions
 -----------
@@ -40,6 +41,12 @@ EPS_START = 64  # starting at the smallest such reg with max(C)/reg at most this
 STAGE_TOL = 1e-2  # an intermediate stage stops at this L1 residual
 TINY = np.finfo(float).tiny  # a kernel row or column summing below this underflowed
 TEST_WINDOW = 64  # sinkhorn tests for absorption at least once in this many sweeps
+OMEGA_MAX = 1.8  # sinkhorn over-relaxes its updates by a factor of at most this;
+OMEGA_MIN = 1.05  # it sweeps plainly while the factor it estimates is below this,
+PLAIN_OPEN = 4  # takes a stage's plain rate from this sweep
+PLAIN_WINDOW = 8  # over this many more,
+RELAXED_WINDOW = 10  # re-estimates after this many relaxed sweeps,
+PAST_OPTIMUM = 0.1  # and goes plain when a relaxed rate is within this of ω - 1
 
 
 class SinkhornDivergenceError(RuntimeError):
@@ -265,11 +272,45 @@ def ot_exact_discrete(cost_matrix, a, b) -> TransportPlan:
 # ---------------------------------------------------------------------------
 
 
-def _fill_kernel(kernel, cost, reg, f, g) -> None:
-    """Write ``K = exp(f + -C/reg + g)`` into ``kernel`` in one exp pass."""
+def _fill_kernel(kernel, cost, reg, f=None, g=None) -> None:
+    """Write ``K = exp(f + -C/reg + g)`` into ``kernel`` in one exp pass;
+    without potentials, ``K = exp(-C/reg)``."""
     np.divide(cost, -reg, out=kernel)
-    kernel += f[:, None]
-    np.exp(np.add(kernel, g, out=kernel), out=kernel)
+    if f is not None:
+        kernel += f[:, None]
+        kernel += g
+    np.exp(kernel, out=kernel)
+
+
+def _next_omega(omega, rate) -> float:
+    """The over-relaxation factor of ``sinkhorn`` after a window of sweeps
+    at ``omega`` whose residual fell by the factor ``rate`` per sweep.
+
+    The plain iteration's contraction rate θ is ``rate`` itself after plain
+    sweeps; after relaxed ones it follows from Young's relation between θ,
+    ω and the relaxed rate ρ, θ = (ρ + ω − 1)² / (ω² ρ). The factor is then
+    raised to the optimum ω* = 2 / (1 + √(1 − θ)) (Lehmann et al., Optim.
+    Lett. 2022), at most ``OMEGA_MAX``. A plain window whose residual did
+    not fall, or whose optimum is below ``OMEGA_MIN``, stays plain.
+
+    A relaxed window returns to plain sweeps when its residual did not fall,
+    or fell at a rate within ``PAST_OPTIMUM`` of ω − 1. Young's relation
+    gives ρ ≥ ω − 1 for every θ, with equality once ω is at or past the
+    optimum, so such a rate says only that ω is at or past the optimum,
+    not how far; the plain window that follows measures θ again. This is what ends the
+    overshoot when a stage relaxes a stalled residual (mass still moving
+    between far clusters) just before the stall ends.
+    """
+    if omega == 1.0:
+        theta = rate
+    elif not omega - 1.0 + PAST_OPTIMUM <= rate < 1.0:
+        return 1.0
+    else:
+        theta = (rate + omega - 1.0) ** 2 / (omega * omega * rate)
+    if not 0.0 <= theta < 1.0:
+        return omega
+    best = min(2.0 / (1.0 + math.sqrt(1.0 - theta)), OMEGA_MAX)
+    return best if best > omega and best >= OMEGA_MIN else omega
 
 
 def _sweeps_to_next_test(spread, row, a, ratio, limit) -> int:
@@ -309,13 +350,29 @@ def sinkhorn(
     A scaling that leaves ``[1/SCALING_BOUND, SCALING_BOUND]`` is absorbed
     into the log-domain potentials of ``K = exp(f + -C/reg + g)`` and ``K``
     rebuilt (log-domain absorption; Schmitzer, SISC 2019), which keeps the
-    iteration stable for small ``reg``. The test for it runs on each
-    stage's first sweep and then at most ``TEST_WINDOW`` sweeps apart: the
-    update is non-expansive in the sup norm, so the scalings and the size
-    of the next update at one test bound how many sweeps cannot reach
-    ``SCALING_BOUND`` (or push ``K v``, ``Kᵀ u`` out of the normal range),
-    and the next test follows them. The sweeps, and so every result, are
-    the same as with a test on every sweep.
+    iteration stable for small ``reg``. On plain sweeps the test for it
+    runs on each stage's first sweep and then at most ``TEST_WINDOW``
+    sweeps apart: the plain update is non-expansive in the sup norm, so the
+    scalings and the size of the next update at one test bound how many
+    sweeps cannot reach ``SCALING_BOUND`` (or push ``K v``, ``Kᵀ u`` out of
+    the normal range), and the next test follows them. Every relaxed sweep
+    is tested. The sweeps, and so every result, are the same as with a
+    test on every sweep.
+
+    Slow stages are over-relaxed (Thibault et al., arXiv:1711.01851):
+    ``u ← u (a / (u K v))^ω`` and ``v ← v (b / (v Kᵀ u))^ω``. Each stage
+    starts plain (ω = 1). At its 12th sweep the plain rate is taken as
+    θ = (r₁₂ / r₄)^(1/8) from the residuals, and ω set to Young's optimum
+    2 / (1 + √(1 − θ)), at most ``OMEGA_MAX``; below ``OMEGA_MIN`` the
+    stage stays plain and estimates again 12 sweeps on. Every 10 relaxed
+    sweeps the rate ρ over them is measured: if the residual did not fall,
+    or fell at a rate within ``PAST_OPTIMUM`` of ω − 1 (ω at or past its
+    optimum), the stage returns to plain sweeps and estimates afresh;
+    otherwise θ is recovered from ρ by Young's relation and ω raised if
+    θ's optimum is larger (:func:`_next_omega`). After a relaxed v-update
+    the columns are no longer exact, so the residual then counts rows and
+    columns of the current plan, the columns once the rows alone are within
+    tol.
 
     When ``max(C)/reg`` exceeds ``EPS_START``, the solve is annealed
     (ε-scaling; Schmitzer 2019, Feydy et al. 2019): it starts at
@@ -344,6 +401,8 @@ def sinkhorn(
         raise ValueError("reg must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+    if not tol >= 0:
+        raise ValueError("tol must be non-negative")
     cost = np.asarray(cost_matrix, dtype=float)
     if cost.ndim != 2:
         raise ValueError("cost matrix must be a finite 2-D array")
@@ -389,28 +448,35 @@ def sinkhorn(
     # round by at most about (n + m) eps per sweep. So atoms of tiny mass
     # shorten it, down to a test on every sweep once min(a) or min(b) is
     # within e of TINY. Over TEST_WINDOW sweeps at most, rounding stays far
-    # inside the limit's 1-nat margin.
+    # inside the limit's 1-nat margin. A relaxed update can move log u by up
+    # to 2ω - 1 times the update before it, so it has no such bound: every
+    # relaxed sweep is tested, and the cadence restarts when a stage
+    # returns to plain sweeps.
     limit = min(math.log(SCALING_BOUND), math.log(a_r.min() / TINY),
                 math.log(b_r.min() / TINY)) - 1.0
 
     f, g = np.zeros(rows.size), np.zeros(cols.size)
     # Every buffer is made once: K, its transpose view, u and v in one
-    # vector (so that a test takes two reductions), K v, Kᵀ u, and the
-    # plan's row sums with a scratch vector for the test.
+    # vector (so that a test takes two reductions), K v, Kᵀ u, the plan's
+    # row sums, and scratch vectors for the residual and the updates.
     kernel = np.empty_like(cost_r)
     kernel_t = kernel.T
     scalings = np.empty(rows.size + cols.size)
     u, v = scalings[: rows.size], scalings[rows.size :]
-    kv, row, ratio = np.empty(rows.size), np.empty(rows.size), np.empty(rows.size)
-    kt_u = np.empty(cols.size)
+    kv, row, diff, ratio = (np.empty(rows.size) for _ in range(4))
+    kt_u, col = np.empty(cols.size), np.empty(cols.size)
     iterations = 0
     for stage in range(stages, -1, -1):
         stage_reg = reg * EPS_FACTOR**stage
         stage_tol = max(tol, STAGE_TOL) if stage else tol
         # The stage opens on the kernel of the carried potentials, built in
-        # one exp pass, with a sweep from u = v = 1 that has no residual
-        # check before it; the loop's first pass finishes that sweep.
-        _fill_kernel(kernel, cost_r, stage_reg, f, g)
+        # one exp pass (the top stage's are zero), with a sweep from
+        # u = v = 1 that has no residual check before it; the loop's first
+        # pass finishes that sweep.
+        if stage == stages:
+            _fill_kernel(kernel, cost_r, stage_reg)
+        else:
+            _fill_kernel(kernel, cost_r, stage_reg, f, g)
         kernel.sum(axis=1, out=kv)
         underflow = kv.min() < TINY
         if not underflow:
@@ -428,16 +494,26 @@ def sinkhorn(
             kernel.sum(axis=0, out=kt_u)
         converged = False
         next_test = iterations + 1  # the bound starts afresh with each stage
+        # Over-relaxation: each stage starts plain, and the factor is set
+        # from the residual's rate over windows of sweeps (_next_omega).
+        omega, relaxed = 1.0, False  # relaxed: the last v-update was relaxed
+        probe, ref, window = iterations + PLAIN_OPEN, None, 0
         while True:
-            np.divide(b_r, kt_u, out=v)
+            if relaxed:
+                np.multiply(v, kt_u, out=col)
+                np.divide(b_r, col, out=col)
+                v *= np.power(col, omega, out=col)
+            else:
+                np.divide(b_r, kt_u, out=v)
             iterations += 1
-            testing = iterations == next_test
+            testing = relaxed or iterations == next_test
             if testing:
                 spread = max(scalings.max(), 1.0 / scalings.min())
                 if spread > SCALING_BOUND:
                     f += np.log(u)
                     g += np.log(v)
                     _fill_kernel(kernel, cost_r, stage_reg, f, g)
+                    kt_u *= v  # v Kᵀu stays the plan's column sums
                     scalings.fill(1.0)
                     spread = 1.0
             # Leave one sweep for the opening of each stage still to come.
@@ -445,17 +521,40 @@ def sinkhorn(
                 break
             kernel.dot(v, out=kv)
             np.multiply(u, kv, out=row)
-            if testing:
+            if testing and not relaxed:
                 next_test = iterations + _sweeps_to_next_test(spread, row, a_r, ratio, limit)
-            # Row sums of the current plan; columns are exact after each
-            # v-update, so this is the full L1 violation.
-            np.subtract(row, a_r, out=row)
-            residual = float(np.abs(row, out=row).sum())
+            # The L1 violation of the current plan. Its columns are exact
+            # after a plain v-update, and counted only once the rows are
+            # within tol after a relaxed one.
+            np.subtract(row, a_r, out=diff)
+            residual = float(np.abs(diff, out=diff).sum())
+            if residual <= stage_tol and relaxed:
+                np.multiply(v, kt_u, out=col)
+                np.subtract(col, b_r, out=col)
+                residual += float(np.abs(col, out=col).sum())
             if residual <= stage_tol:
                 converged = True
                 break
-            np.divide(a_r, kv, out=u)
+            if iterations == probe:
+                # A window closes: set ω from its rate, then open the next.
+                if ref is not None:
+                    omega = _next_omega(omega, (residual / ref) ** (1.0 / window))
+                    if omega == 1.0 and relaxed:
+                        next_test = iterations + 1  # the plain cadence restarts
+                if omega != 1.0:
+                    ref, window = residual, RELAXED_WINDOW
+                elif ref is None:
+                    ref, window = residual, PLAIN_WINDOW
+                else:
+                    ref, window = None, PLAIN_OPEN
+                probe = iterations + window
+            if omega == 1.0:
+                np.divide(a_r, kv, out=u)
+            else:
+                np.divide(a_r, row, out=ratio)
+                u *= np.power(ratio, omega, out=ratio)
             kernel_t.dot(u, out=kt_u)
+            relaxed = omega != 1.0
         if stage:
             # The potentials are in units of the stage's reg.
             f = (f + np.log(u)) * EPS_FACTOR

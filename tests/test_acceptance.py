@@ -23,6 +23,7 @@ from darsa.ot import (
     pairwise_component_w1,
     sample_gmm,
     sinkhorn,
+    uniform_plan,
     w1_empirical,
     w1_exact_1d,
     weighted_subdomain_w1,
@@ -319,6 +320,21 @@ def test_criterion_5_mixture_distance_chain():
         5, "paired sum <= mixture distance <= pooled W1 + 4*sqrt(eps) + 0.05 on 20 pairs",
         ok, f"worst margins {worst_first:+.2e}, {worst_second:+.2e}",
     )
+
+
+def test_mixture_chain_pooled_solve_of_generator_seed_9_converges():
+    # The pair drawn from generator seed 9 (K = 3, d = 5) gives a pooled
+    # 600 x 600 solve at C/reg 247 whose plain sweeps plateau at residual
+    # 2/600 and need about 7400 sweeps; over-relaxed, it converges inside
+    # the chain's max_iter of 5000, in either orientation.
+    mix_s, mix_t, _ = _random_mixture_pair(np.random.default_rng(9))
+    xs, _ = sample_gmm(mix_s, 600, seed=3009)
+    xt, _ = sample_gmm(mix_t, 600, seed=4009)
+    for rows, cols in ((xs, xt), (xt, xs)):
+        plan, _, info = uniform_plan(rows, cols, 0.01, 5000, 1e-5, reg_mode="relative")
+        assert info.converged and info.residual <= 1e-5
+        assert plan.marginal_residual() <= 1e-5 + 1e-12
+    assert w1_empirical(xs, xt, reg=0.01, max_iter=5000, tol=1e-5, reg_mode="relative") > 0.0
 
 
 # ---------------------------------------------------------------------------

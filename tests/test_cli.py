@@ -383,6 +383,7 @@ def test_train_task_missing_key_exits_two(tmp_path, capsys, task, message):
     path.write_text(json.dumps({"task": task}))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_snapshot_divergence_exits_four(tmp_path, capsys):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
@@ -13,6 +13,12 @@ from darsa import ot
 from darsa.ot import (
     EPS_FACTOR,
     EPS_START,
+    OMEGA_MAX,
+    OMEGA_MIN,
+    PAST_OPTIMUM,
+    PLAIN_OPEN,
+    PLAIN_WINDOW,
+    RELAXED_WINDOW,
     STAGE_TOL,
     GaussianComponent,
     GaussianMixture,
@@ -240,6 +246,22 @@ def test_sinkhorn_divergence_error():
     assert excinfo.value.residual > 0.0
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"reg": 0.0}, "reg must be positive"),
+        ({"max_iter": 0}, "max_iter must be positive"),
+        ({"tol": -1e-6}, "tol must be non-negative"),
+        ({"tol": np.nan}, "tol must be non-negative"),
+    ],
+)
+def test_sinkhorn_rejects_bad_settings(kwargs, message):
+    # A residual of exactly 0 never meets a negative or NaN tol, and the
+    # over-relaxation's rate estimate would then divide by it.
+    with pytest.raises(ValueError, match=message):
+        sinkhorn([[2.5]], [1.0], [1.0], **{"reg": 1.0, **kwargs})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [0, 5, 11])
 def test_sinkhorn_rejects_non_finite_cost(bad, where):
@@ -250,10 +272,24 @@ def test_sinkhorn_rejects_non_finite_cost(bad, where):
         sinkhorn(cost, np.full(3, 1 / 3), np.full(4, 0.25), reg=0.1)
 
 
+def _reference_omega(omega, rate):
+    """The over-relaxation rule: the plain rate is ``rate`` after plain
+    sweeps and follows from Young's relation after relaxed ones; the factor
+    rises to 2 / (1 + sqrt(1 - rate)), capped, and falls back to 1 when a
+    relaxed window's residual did not fall or fell at about ω - 1 per sweep."""
+    if omega != 1.0 and (rate >= 1.0 or rate < omega - 1.0 + PAST_OPTIMUM):
+        return 1.0
+    theta = rate if omega == 1.0 else (rate + omega - 1.0) ** 2 / (omega**2 * rate)
+    if not 0.0 <= theta < 1.0:
+        return omega
+    best = min(2.0 / (1.0 + np.sqrt(1.0 - theta)), OMEGA_MAX)
+    return best if best > omega and best >= OMEGA_MIN else omega
+
+
 def _log_domain_sinkhorn(cost, a, b, reg, max_iter, tol):
-    """Reference: the same ε-scaling schedule, sweeps, residual and stopping
-    rule, run entirely on log-domain potentials. Returns ``(cost,
-    iterations, residual, converged)`` or raises
+    """Reference: the same ε-scaling schedule, sweeps, over-relaxation
+    rule, residual and stopping rule, run entirely on log-domain potentials.
+    Returns ``(cost, iterations, residual, converged)`` or raises
     :class:`SinkhornDivergenceError`."""
     rows, cols = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
     cost_r = cost[np.ix_(rows, cols)]
@@ -269,15 +305,33 @@ def _log_domain_sinkhorn(cost, a, b, reg, max_iter, tol):
         # Every stage still to come needs its opening sweep.
         budget = max_iter - stage - iterations
         converged = False
+        # Each stage starts plain: the rate over sweeps 4 to 12 sets the
+        # factor, and a relaxed one is re-estimated every 10 sweeps.
+        omega, relaxed = 1.0, False
+        probe, ref, window = iterations + PLAIN_OPEN, None, 0
         for sweep in range(budget):
             lse_rows = logsumexp(scaled + g[None, :], axis=1)
             if sweep > 0:
                 residual = float(np.abs(np.exp(f + lse_rows) - a[rows]).sum())
+                if residual <= stage_tol and relaxed:
+                    lse_cols = logsumexp(scaled + f[:, None], axis=0)
+                    residual += float(np.abs(np.exp(g + lse_cols) - b[cols]).sum())
                 if residual <= stage_tol:
                     converged = True
                     break
-            f = log_a - lse_rows
-            g = log_b - logsumexp(scaled + f[:, None], axis=0)
+                if iterations == probe:
+                    if ref is not None:
+                        omega = _reference_omega(omega, (residual / ref) ** (1.0 / window))
+                    if omega != 1.0:
+                        ref, window = residual, RELAXED_WINDOW
+                    elif ref is None:
+                        ref, window = residual, PLAIN_WINDOW
+                    else:
+                        ref, window = None, PLAIN_OPEN
+                    probe = iterations + window
+            f = (1.0 - omega) * f + omega * (log_a - lse_rows)
+            g = (1.0 - omega) * g + omega * (log_b - logsumexp(scaled + f[:, None], axis=0))
+            relaxed = omega != 1.0
             iterations += 1
         if stage:
             f, g = f * EPS_FACTOR, g * EPS_FACTOR
@@ -460,6 +514,108 @@ def test_sinkhorn_cadence_matches_a_test_every_sweep(
     assert got == want
 
 
+@pytest.mark.parametrize("rel_reg, tol", [(0.05, 1e-3), (0.05, 1e-6), (0.03, 1e-3)])
+def test_sinkhorn_relaxing_a_stall_costs_few_sweeps(monkeypatch, rel_reg, tol):
+    # Figure 1's setting: two clusters whose weights swap from 0.7/0.3 to
+    # 0.3/0.7. From a cold start the residual stalls near 0.8 while mass
+    # crosses between the clusters, and the stall reads as a plain rate of
+    # 1, so the stage relaxes at the cap. At relative reg 0.05 the stall
+    # ends just after: the relaxed rate then sits at ω - 1 and the stage
+    # must go back to plain sweeps, not take twice the plain count.
+    rng = np.random.default_rng(0)
+    x = np.concatenate([-1.5 + 0.05 * rng.normal(size=42), 1.5 + 0.05 * rng.normal(size=18)])
+    y = np.concatenate([-1.4 + 0.05 * rng.normal(size=18), 1.6 + 0.05 * rng.normal(size=42)])
+    cost = euclidean_cost_matrix(x[:, None], y[:, None])
+    a = np.full(60, 1.0 / 60)
+    reg = ot.effective_reg(cost, rel_reg, "relative")
+    relaxed = sinkhorn(cost, a, a, reg, max_iter=5000, tol=tol, return_info=True)[1]
+    monkeypatch.setattr(ot, "OMEGA_MAX", 1.0)
+    plain = sinkhorn(cost, a, a, reg, max_iter=5000, tol=tol, return_info=True)[1]
+    assert relaxed.converged and plain.converged
+    assert relaxed.iterations <= 1.25 * plain.iterations
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sinkhorn_relaxed_sweeps_absorb_like_the_reference(monkeypatch, seed):
+    # With SCALING_BOUND at 1.5 nearly every relaxed sweep absorbs, the
+    # converging one included; its residual must still be that of the
+    # current plan, so the solve matches the log-domain reference.
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(2, 30, size=2)
+    cost = euclidean_cost_matrix(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)))
+    a, b = rng.random(n) + 0.05, rng.random(m) + 0.05
+    a, b = a / a.sum(), b / b.sum()
+    reg = float(cost.max()) / 10.0 ** rng.uniform(2.0, 3.0)
+    tol = 10.0 ** rng.uniform(-9.0, -5.0)
+    monkeypatch.setattr(ot, "SCALING_BOUND", 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        plan, info = sinkhorn(cost, a, b, reg, max_iter=3000, tol=tol, return_info=True)
+    cost_want, iterations_want, _, converged_want = _log_domain_sinkhorn(
+        cost, a, b, reg, 3000, tol
+    )
+    assert (info.iterations, info.converged) == (iterations_want, converged_want)
+    assert plan.cost == pytest.approx(cost_want, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 40),
+    m=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3]),
+    log_tiny=st.sampled_from([None, -20.0, -150.0, -300.0]),
+    log_ratio=st.floats(2.0, 4.0),
+    log_tol=st.floats(-9.0, -5.0),
+    max_iter=st.integers(100, 3000),
+)
+def test_sinkhorn_relaxed_solves_keep_their_contracts(
+    n, m, seed, zero_share, log_tiny, log_ratio, log_tol, max_iter
+):
+    # C/reg from 1e2 to 1e4 and tight tols make the plain rate slow, so the
+    # solve over-relaxes; zero-mass atoms and one atom of tiny mass on each
+    # side. Draws whose solve stays plain are discarded.
+    rng = np.random.default_rng(seed)
+    cost = euclidean_cost_matrix(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)) + rng.normal())
+    a = rng.random(n) * (rng.random(n) >= zero_share)
+    b = rng.random(m) * (rng.random(m) >= zero_share)
+    a[0] += 0.1
+    b[0] += 0.1
+    a, b = a / a.sum(), b / b.sum()
+    if log_tiny is not None:
+        for p in (a, b):
+            p[0] += p[-1] - 10.0**log_tiny
+            p[-1] = 10.0**log_tiny
+    reg = max(float(cost.max()), 1e-3) / 10.0**log_ratio
+    tol = 10.0**log_tol
+    omegas = []
+    next_omega = ot._next_omega
+
+    def recording(omega, rate):
+        omegas.append(next_omega(omega, rate))
+        return omegas[-1]
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(ot, "_next_omega", recording)
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            plan, info = sinkhorn(cost, a, b, reg, max_iter=max_iter, tol=tol, return_info=True)
+        except SinkhornDivergenceError as exc:
+            plan, info = None, exc
+    assume(max(omegas, default=1.0) > 1.0)
+    if plan is None:
+        assert info.residual > 100 * tol and info.iterations == max_iter
+        return
+    assert np.all(np.isfinite(plan.coupling)) and np.isfinite(plan.cost)
+    assert info.iterations <= max_iter
+    if info.converged:
+        assert info.residual <= tol
+        assert plan.marginal_residual() <= tol + 1e-12
+    else:
+        assert info.iterations == max_iter
+        assert info.residual == plan.marginal_residual() <= 100 * tol
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 20),
@@ -549,6 +705,22 @@ def test_w1_empirical_symmetric_over_random_shapes(n, m, d, seed, reg_mode):
             return exc.residual, exc.iterations
 
     assert outcome(x, y) == outcome(y, x)
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, reg_mode", [(8, 36, 166, "absolute"), (17, 17, 17, "relative")]
+)
+def test_w1_empirical_defaults_on_a_slow_small_1d_draw(n, m, seed, reg_mode):
+    # Small 1-D draws at C/reg in the hundreds: plain sweeps stop above
+    # 100 * tol after 5000 and raise; over-relaxed, the solve ends within
+    # 100 * tol (it may stop short of tol), so the estimate is returned,
+    # and it lies within 1e-3 of the exact value.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 1))
+    y = rng.normal(size=(m, 1)) + rng.normal(size=1)
+    value = w1_empirical(x, y, reg_mode=reg_mode)
+    assert value == w1_empirical(y, x, reg_mode=reg_mode)
+    assert abs(value - w1_exact_1d(x.ravel(), y.ravel())) <= 1e-3
 
 
 @pytest.mark.parametrize("index", [0, 5, 23])
