@@ -40,7 +40,6 @@ EPS_FACTOR = 4  # sinkhorn's ε-scaling divides reg by this from stage to stage,
 EPS_START = 64  # starting at the smallest such reg with max(C)/reg at most this;
 STAGE_TOL = 1e-2  # an intermediate stage stops at this L1 residual
 TINY = np.finfo(float).tiny  # a kernel row or column summing below this underflowed
-TEST_WINDOW = 64  # sinkhorn tests for absorption at least once in this many sweeps
 OMEGA_MAX = 1.8  # sinkhorn over-relaxes its updates by a factor of at most this;
 OMEGA_MIN = 1.05  # it sweeps plainly while the factor it estimates is below this,
 PLAIN_OPEN = 4  # takes a stage's plain rate from this sweep
@@ -313,26 +312,6 @@ def _next_omega(omega, rate) -> float:
     return best if best > omega and best >= OMEGA_MIN else omega
 
 
-def _sweeps_to_next_test(spread, row, a, ratio, limit) -> int:
-    """Sweeps from one absorption test of ``sinkhorn`` to the next: the
-    first sweep after which a scaling could have left ``exp(limit)``.
-
-    ``spread`` is ``max(u, v, 1/u, 1/v)`` at the test and ``row = u * K v``,
-    so ``row / a`` (written into ``ratio``) is ``u`` over the coming ``u``.
-    """
-    room = limit - math.log(spread)
-    if not room >= 0:
-        return 1
-    with np.errstate(over="ignore", divide="ignore"):
-        np.divide(row, a, out=ratio)
-        step = max(ratio.max(), 1.0 / ratio.min())
-    if not step < math.inf:
-        return 1
-    if step == 1.0:
-        return TEST_WINDOW
-    return min(TEST_WINDOW, 1 + int(room / math.log(step)))
-
-
 def sinkhorn(
     cost_matrix,
     a,
@@ -350,14 +329,7 @@ def sinkhorn(
     A scaling that leaves ``[1/SCALING_BOUND, SCALING_BOUND]`` is absorbed
     into the log-domain potentials of ``K = exp(f + -C/reg + g)`` and ``K``
     rebuilt (log-domain absorption; Schmitzer, SISC 2019), which keeps the
-    iteration stable for small ``reg``. On plain sweeps the test for it
-    runs on each stage's first sweep and then at most ``TEST_WINDOW``
-    sweeps apart: the plain update is non-expansive in the sup norm, so the
-    scalings and the size of the next update at one test bound how many
-    sweeps cannot reach ``SCALING_BOUND`` (or push ``K v``, ``Kᵀ u`` out of
-    the normal range), and the next test follows them. Every relaxed sweep
-    is tested. The sweeps, and so every result, are the same as with a
-    test on every sweep.
+    iteration stable for small ``reg``; every sweep is tested for it.
 
     Slow stages are over-relaxed (Thibault et al., arXiv:1711.01851):
     ``u ← u (a / (u K v))^ω`` and ``v ← v (b / (v Kᵀ u))^ω``. Each stage
@@ -397,7 +369,7 @@ def sinkhorn(
         If ``max_iter`` is reached with a marginal violation above
         ``100 * tol``.
     """
-    if reg <= 0:
+    if not reg > 0:
         raise ValueError("reg must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
@@ -432,28 +404,6 @@ def sinkhorn(
     stages = 0
     while top > EPS_START * reg * EPS_FACTOR**stages and stages < max_iter - 1:
         stages += 1
-
-    # Absorption is tested on a cadence, and a sweep goes untested only when
-    # the test provably could not fire on it, so every solve runs the same
-    # sweeps as with a test on every sweep. Between two absorptions of one
-    # stage K is fixed, and the updates log u = log a - log(K v) and
-    # log v = log b - log(Kᵀ u) are non-expansive in the sup norm (K ≥ 0;
-    # Peyré & Cuturi 2019, §4): no update moves log u or log v further than
-    # the update before it. So if a test finds every |log u|, |log v| ≤ M
-    # and the coming u-update moves log u by δ = max|log(u K v / a)|, then s
-    # sweeps later every |log u|, |log v| ≤ M + sδ, and the test cannot fire
-    # while M + sδ ≤ limit < log SCALING_BOUND. The same bound keeps
-    # K v = a / u ≥ min(a) e^-(M+sδ) and Kᵀ u = b / v ≥ min(b) e^-(M+sδ),
-    # and the limit also keeps these in the normal range, where the products
-    # round by at most about (n + m) eps per sweep. So atoms of tiny mass
-    # shorten it, down to a test on every sweep once min(a) or min(b) is
-    # within e of TINY. Over TEST_WINDOW sweeps at most, rounding stays far
-    # inside the limit's 1-nat margin. A relaxed update can move log u by up
-    # to 2ω - 1 times the update before it, so it has no such bound: every
-    # relaxed sweep is tested, and the cadence restarts when a stage
-    # returns to plain sweeps.
-    limit = min(math.log(SCALING_BOUND), math.log(a_r.min() / TINY),
-                math.log(b_r.min() / TINY)) - 1.0
 
     f, g = np.zeros(rows.size), np.zeros(cols.size)
     # Every buffer is made once: K, its transpose view, u and v in one
@@ -493,7 +443,6 @@ def sinkhorn(
             u.fill(1.0)
             kernel.sum(axis=0, out=kt_u)
         converged = False
-        next_test = iterations + 1  # the bound starts afresh with each stage
         # Over-relaxation: each stage starts plain, and the factor is set
         # from the residual's rate over windows of sweeps (_next_omega).
         omega, relaxed = 1.0, False  # relaxed: the last v-update was relaxed
@@ -506,23 +455,17 @@ def sinkhorn(
             else:
                 np.divide(b_r, kt_u, out=v)
             iterations += 1
-            testing = relaxed or iterations == next_test
-            if testing:
-                spread = max(scalings.max(), 1.0 / scalings.min())
-                if spread > SCALING_BOUND:
-                    f += np.log(u)
-                    g += np.log(v)
-                    _fill_kernel(kernel, cost_r, stage_reg, f, g)
-                    kt_u *= v  # v Kᵀu stays the plan's column sums
-                    scalings.fill(1.0)
-                    spread = 1.0
+            if max(scalings.max(), 1.0 / scalings.min()) > SCALING_BOUND:
+                f += np.log(u)
+                g += np.log(v)
+                _fill_kernel(kernel, cost_r, stage_reg, f, g)
+                kt_u *= v  # v Kᵀu stays the plan's column sums
+                scalings.fill(1.0)
             # Leave one sweep for the opening of each stage still to come.
             if iterations >= max_iter - stage:
                 break
             kernel.dot(v, out=kv)
             np.multiply(u, kv, out=row)
-            if testing and not relaxed:
-                next_test = iterations + _sweeps_to_next_test(spread, row, a_r, ratio, limit)
             # The L1 violation of the current plan. Its columns are exact
             # after a plain v-update, and counted only once the rows are
             # within tol after a relaxed one.
@@ -539,8 +482,6 @@ def sinkhorn(
                 # A window closes: set ω from its rate, then open the next.
                 if ref is not None:
                     omega = _next_omega(omega, (residual / ref) ** (1.0 / window))
-                    if omega == 1.0 and relaxed:
-                        next_test = iterations + 1  # the plain cadence restarts
                 if omega != 1.0:
                     ref, window = residual, RELAXED_WINDOW
                 elif ref is None:

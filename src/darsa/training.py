@@ -13,6 +13,7 @@ within a step.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -95,6 +96,8 @@ class DarsaConfig:
                 raise ValueError(
                     f"invalid darsa config: {fld.name} must be {fld.type}, got {value!r}"
                 )
+            if fld.type == "float" and value is not None and not -math.inf < value < math.inf:
+                raise ValueError(f"invalid darsa config: {fld.name} must be finite, got {value!r}")
         if min(self.lambda_y, self.lambda_d, self.lambda_c, self.lambda_a) < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.margin <= 0 or self.lr <= 0:

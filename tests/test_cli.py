@@ -166,6 +166,17 @@ def test_ot_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_nan_reg_exits_two(figure1_csvs, tmp_path, capsys):
+    # NaN passes a `reg <= 0` check; a solve at NaN reg would run to
+    # max_iter and print a NaN cost with exit 0.
+    src, tgt = figure1_csvs
+    assert main(["ot", str(src), str(tgt), "--method", "sinkhorn", "--reg", "nan"]) == 2
+    bounds = ["bounds", "--source", str(src), "--target", str(tgt), "--reg", "nan"]
+    assert main([*bounds, "--out", str(tmp_path / "b")]) == 2
+    assert main(["figure1", "--n", "200", "--reg", "nan", "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err.count("reg must be positive") == 3
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -328,6 +339,8 @@ def test_train_failure_exit_code(tmp_path, capsys):
         ({"seed": "3"}, "invalid darsa config: seed must be int"),
         ({"encoder_hidden": "32"}, "invalid darsa config: encoder_hidden must be tuple"),
         ({"estimate_w_t": "no"}, "invalid darsa config: estimate_w_t must be bool"),
+        ({"sinkhorn_reg": float("nan")}, "invalid darsa config: sinkhorn_reg must be finite"),
+        ({"lr": float("inf")}, "invalid darsa config: lr must be finite"),
     ],
 )
 def test_train_bad_config_value_exits_two(tmp_path, capsys, bad, message):

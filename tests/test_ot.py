@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
@@ -253,11 +253,13 @@ def test_sinkhorn_divergence_error():
         ({"max_iter": 0}, "max_iter must be positive"),
         ({"tol": -1e-6}, "tol must be non-negative"),
         ({"tol": np.nan}, "tol must be non-negative"),
+        ({"reg": np.nan}, "reg must be positive"),
     ],
 )
 def test_sinkhorn_rejects_bad_settings(kwargs, message):
     # A residual of exactly 0 never meets a negative or NaN tol, and the
-    # over-relaxation's rate estimate would then divide by it.
+    # over-relaxation's rate estimate would then divide by it. A NaN reg
+    # would run to max_iter and return a NaN cost.
     with pytest.raises(ValueError, match=message):
         sinkhorn([[2.5]], [1.0], [1.0], **{"reg": 1.0, **kwargs})
 
@@ -442,12 +444,10 @@ def _exact_outcome(cost, a, b, reg, max_iter, tol):
     return info, float(plan.cost).hex(), plan.coupling.tobytes()
 
 
-def test_sinkhorn_absorbs_between_two_tests(monkeypatch):
+def test_sinkhorn_absorbs_a_few_sweeps_into_a_stage():
     # At C/reg 1e5, with an atom of mass 1e-20, a scaling leaves
-    # SCALING_BOUND a few sweeps after the test that opens a stage. The
-    # cadence must bring the next test onto exactly that sweep: the solve
-    # equals one that tests every sweep, bit for bit, where a fixed cadence
-    # of 8 sweeps absorbs late and moves the last digits.
+    # SCALING_BOUND a few sweeps after a stage opens; absorbing on exactly
+    # that sweep matches the log-domain reference.
     rng = np.random.default_rng(10)
     cost = euclidean_cost_matrix(rng.normal(size=(4, 2)), rng.normal(size=(6, 2)))
     a = rng.random(4) + 0.1
@@ -465,53 +465,6 @@ def test_sinkhorn_absorbs_between_two_tests(monkeypatch):
     assert (info.iterations, info.converged) == (iterations_want, converged_want)
     assert info.converged
     assert float.fromhex(got[1]) == pytest.approx(cost_want, rel=1e-9)
-    monkeypatch.setattr(ot, "TEST_WINDOW", 1)
-    assert _exact_outcome(cost, a, b, reg, 5000, 1e-3) == got
-    monkeypatch.setattr(ot, "_sweeps_to_next_test", lambda *args: 8)
-    assert _exact_outcome(cost, a, b, reg, 5000, 1e-3) != got
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    n=st.integers(1, 40),
-    m=st.integers(1, 40),
-    seed=st.integers(0, 2**32 - 1),
-    log_tiny=st.sampled_from([None, -20.0, -150.0, -290.0, -306.0]),
-    log_ratio=st.floats(-1.0, 5.0),
-    log_tol=st.floats(-9.0, -3.0),
-    max_iter=st.integers(1, 2000),
-)
-def test_sinkhorn_cadence_matches_a_test_every_sweep(
-    n, m, seed, log_tiny, log_ratio, log_tol, max_iter
-):
-    # Random clouds and marginals, zero-mass atoms and one atom of tiny mass
-    # on each side, C/reg from 0.1 to 1e5: absorbing only on the sweeps the
-    # cadence tests gives what a test on every sweep gives, bit for bit.
-    rng = np.random.default_rng(seed)
-    cost = euclidean_cost_matrix(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)) + rng.normal())
-    a = rng.random(n) * (rng.random(n) >= 0.3)
-    b = rng.random(m) * (rng.random(m) >= 0.3)
-    a[0] += 0.1
-    b[0] += 0.1
-    a, b = a / a.sum(), b / b.sum()
-    if log_tiny is not None:
-        for p in (a, b):
-            if p.size > 1:
-                p[0] += p[-1] - 10.0**log_tiny
-                p[-1] = 10.0**log_tiny
-    reg = max(float(cost.max()), 1e-3) / 10.0**log_ratio
-    tol = 10.0**log_tol
-    try:
-        got = _exact_outcome(cost, a, b, reg, max_iter, tol)
-    except RuntimeWarning:
-        got = "warned"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ot, "TEST_WINDOW", 1)
-        try:
-            want = _exact_outcome(cost, a, b, reg, max_iter, tol)
-        except RuntimeWarning:
-            want = "warned"
-    assert got == want
 
 
 @pytest.mark.parametrize("rel_reg, tol", [(0.05, 1e-3), (0.05, 1e-6), (0.03, 1e-3)])
@@ -558,23 +511,23 @@ def test_sinkhorn_relaxed_sweeps_absorb_like_the_reference(monkeypatch, seed):
     assert plan.cost == pytest.approx(cost_want, rel=1e-9)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(
-    n=st.integers(2, 40),
-    m=st.integers(2, 40),
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
     zero_share=st.sampled_from([0.0, 0.3]),
-    log_tiny=st.sampled_from([None, -20.0, -150.0, -300.0]),
-    log_ratio=st.floats(2.0, 4.0),
-    log_tol=st.floats(-9.0, -5.0),
-    max_iter=st.integers(100, 3000),
+    log_tiny=st.sampled_from([None, -20.0, -150.0, -290.0, -300.0, -306.0]),
+    log_ratio=st.floats(-1.0, 5.0),
+    log_tol=st.floats(-9.0, -3.0),
+    max_iter=st.integers(1, 3000),
 )
-def test_sinkhorn_relaxed_solves_keep_their_contracts(
+def test_sinkhorn_solves_keep_their_contracts(
     n, m, seed, zero_share, log_tiny, log_ratio, log_tol, max_iter
 ):
-    # C/reg from 1e2 to 1e4 and tight tols make the plain rate slow, so the
-    # solve over-relaxes; zero-mass atoms and one atom of tiny mass on each
-    # side. Draws whose solve stays plain are discarded.
+    # C/reg from 0.1 to 1e5, zero-mass atoms and one atom of tiny mass (down
+    # to 1e-306) on each side, RuntimeWarning an error. Most solves stay
+    # plain; about one draw in eight over-relaxes (large C/reg, tight tol).
     rng = np.random.default_rng(seed)
     cost = euclidean_cost_matrix(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)) + rng.normal())
     a = rng.random(n) * (rng.random(n) >= zero_share)
@@ -584,25 +537,17 @@ def test_sinkhorn_relaxed_solves_keep_their_contracts(
     a, b = a / a.sum(), b / b.sum()
     if log_tiny is not None:
         for p in (a, b):
-            p[0] += p[-1] - 10.0**log_tiny
-            p[-1] = 10.0**log_tiny
+            if p.size > 1:
+                p[0] += p[-1] - 10.0**log_tiny
+                p[-1] = 10.0**log_tiny
     reg = max(float(cost.max()), 1e-3) / 10.0**log_ratio
     tol = 10.0**log_tol
-    omegas = []
-    next_omega = ot._next_omega
-
-    def recording(omega, rate):
-        omegas.append(next_omega(omega, rate))
-        return omegas[-1]
-
-    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
-        patch.setattr(ot, "_next_omega", recording)
+    with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
             plan, info = sinkhorn(cost, a, b, reg, max_iter=max_iter, tol=tol, return_info=True)
         except SinkhornDivergenceError as exc:
             plan, info = None, exc
-    assume(max(omegas, default=1.0) > 1.0)
     if plan is None:
         assert info.residual > 100 * tol and info.iterations == max_iter
         return
