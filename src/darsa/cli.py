@@ -318,8 +318,8 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_sinkhorn_flags(sub, reg_default=0.01):
-    sub.add_argument("--reg", type=float, default=reg_default, help="entropic regularization")
+def _add_sinkhorn_flags(sub):
+    sub.add_argument("--reg", type=float, default=0.01, help="entropic regularization")
     sub.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
     sub.add_argument("--tol", type=float, default=1e-6, help="marginal tolerance (L1)")
 

@@ -369,12 +369,6 @@ def sinkhorn(
         If ``max_iter`` is reached with a marginal violation above
         ``100 * tol``.
     """
-    if not reg > 0:
-        raise ValueError("reg must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    if not tol >= 0:
-        raise ValueError("tol must be non-negative")
     cost = np.asarray(cost_matrix, dtype=float)
     if cost.ndim != 2:
         raise ValueError("cost matrix must be a finite 2-D array")
@@ -385,6 +379,13 @@ def sinkhorn(
     top = float(cost.max())
     if not (math.isfinite(top) and math.isfinite(float(cost.min()))):
         raise ValueError("cost matrix must be a finite 2-D array")
+    # Checked after the cost: a relative reg resolved against a NaN cost is NaN.
+    if not 0 < reg < math.inf:
+        raise ValueError("reg must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    if not tol >= 0:
+        raise ValueError("tol must be non-negative")
 
     # Zero-mass atoms receive zero plan rows/columns; solve the reduced
     # problem so that every scaling and potential stays finite.

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -152,14 +151,9 @@ class EpochRecord:
     target_accuracy: float | None
     bound: bounds.BoundReport
     skipped_pairs: int
-    seconds: float
 
     def to_json_obj(self) -> dict:
-        # Wall-clock seconds are deliberately left out: metrics files must
-        # be byte-identical across reruns with the same config and seed.
-        obj = asdict(self)
-        del obj["seconds"]
-        return {**obj, "w_t": self.w_t.tolist()}
+        return {**asdict(self), "w_t": self.w_t.tolist()}
 
 
 @dataclass
@@ -177,10 +171,10 @@ class TrainMetrics:
 
 
 class StepGradients(NamedTuple):
-    grads_classifier: list
     grads_encoder_s: list
     grads_encoder_t: list
-    bundle: nn.LossBundle
+    grads_classifier: list
+    losses: tuple  # unweighted (l_y, l_d, l_intra, l_inter)
     skipped_pairs: int
 
 
@@ -246,6 +240,20 @@ def default_networks(d: int, k: int, config: DarsaConfig, rng: np.random.Generat
     return encoder, classifier
 
 
+def _steps_per_epoch(source: Dataset, config: DarsaConfig) -> int:
+    return max(1, int(np.ceil(source.n / config.batch_size)))
+
+
+def _descend(nets: list, grads, velocity: list, config: DarsaConfig) -> None:
+    """One SGD-with-momentum step of each network, in place in ``nets`` and
+    ``velocity``. The classifier (last) steps first and the encoders then in
+    order: that order decides which layer a gradient blowup names."""
+    for i in (-1, *range(len(nets) - 1)):
+        nets[i], velocity[i] = nn.sgd_momentum_step(
+            nets[i], grads[i], velocity[i], config.lr, config.momentum
+        )
+
+
 def pretrain(
     encoder_s: nn.NetworkParams,
     classifier: nn.NetworkParams,
@@ -258,25 +266,19 @@ def pretrain(
         raise ValueError("pretraining requires labeled source data")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    vel_enc = nn.zero_velocity(encoder_s)
-    vel_cls = nn.zero_velocity(classifier)
-    steps = max(1, int(np.ceil(source.n / config.batch_size)))
+    nets = [encoder_s, classifier]
+    velocity = [nn.zero_velocity(net) for net in nets]
     for _ in range(config.pretrain_epochs):
-        for _ in range(steps):
+        for _ in range(_steps_per_epoch(source, config)):
             idx = capped_indices(rng, source.n, config.batch_size)
-            xb, yb = source.features[idx], source.labels[idx]
-            feats, cache_enc = nn.forward(encoder_s, xb)
+            encoder_s, classifier = nets
+            feats, cache_enc = nn.forward(encoder_s, source.features[idx])
             logits, cache_cls = nn.forward(classifier, feats)
-            _, dlogits = nn.cross_entropy(logits, yb)
+            _, dlogits = nn.cross_entropy(logits, source.labels[idx])
             bp_cls = nn.backward(classifier, cache_cls, dlogits)
             bp_enc = nn.backward(encoder_s, cache_enc, bp_cls.input_grad)
-            classifier, vel_cls = nn.sgd_momentum_step(
-                classifier, bp_cls.param_grads, vel_cls, config.lr, config.momentum
-            )
-            encoder_s, vel_enc = nn.sgd_momentum_step(
-                encoder_s, bp_enc.param_grads, vel_enc, config.lr, config.momentum
-            )
-    return encoder_s, classifier
+            _descend(nets, (bp_enc.param_grads, bp_cls.param_grads), velocity, config)
+    return tuple(nets)
 
 
 def compute_step_gradients(
@@ -348,13 +350,9 @@ def compute_step_gradients(
 
     bp_es = nn.backward(encoder_s, cache_es, d_feat_s)
     bp_et = nn.backward(encoder_t, cache_et, d_feat_t)
-    bundle = nn.LossBundle.from_parts(
-        l_y, l_d, l_intra, l_inter,
-        config.lambda_y, config.lambda_d, config.lambda_c, config.lambda_a,
-    )
     return StepGradients(
-        bp_cls.param_grads, bp_es.param_grads, bp_et.param_grads,
-        bundle, len(skipped),
+        bp_es.param_grads, bp_et.param_grads, bp_cls.param_grads,
+        (l_y, l_d, l_intra, l_inter), len(skipped),
     )
 
 
@@ -382,12 +380,7 @@ def _epoch_snapshot(
     return report, source_acc, target_acc
 
 
-def fit(
-    source: Dataset,
-    target: Dataset,
-    config: DarsaConfig,
-    eval_labels=None,
-):
+def fit(source: Dataset, target: Dataset, config: DarsaConfig, eval_labels=None):
     """Run the full training loop and return ``(models, metrics)``.
 
     Pretrains on the source, clones the pretrained encoder for the
@@ -406,30 +399,24 @@ def fit(
         if eval_labels.size != target.n:
             raise ValueError("evaluation labels do not cover the target")
 
-    k = source.k
     rng = np.random.default_rng(config.seed)
-    encoder, classifier = default_networks(source.dim, k, config, rng)
-    w_s = ClassWeights.from_labels(source.labels, k)
+    encoder, classifier = default_networks(source.dim, source.k, config, rng)
+    w_s = ClassWeights.from_labels(source.labels, source.k)
     try:
-        encoder_s, classifier = pretrain(encoder, classifier, source, config, rng=rng)
+        encoder, classifier = pretrain(encoder, classifier, source, config, rng=rng)
     except _FAILURES as exc:
         raise TrainingError(0, -1, exc) from exc
-    encoder_t = encoder_s  # immutable; updates below fork the parameters
-
-    vel_cls = nn.zero_velocity(classifier)
-    vel_es = nn.zero_velocity(encoder_s)
-    vel_et = nn.zero_velocity(encoder_t)
-    steps = max(1, int(np.ceil(source.n / config.batch_size)))
+    # DarsaModels field order; both encoders start as the pretrained one
+    # (immutable: the updates below fork the parameters).
+    nets = [encoder, encoder, classifier]
+    velocity = [nn.zero_velocity(net) for net in nets]
+    steps = _steps_per_epoch(source, config)
     metrics = TrainMetrics()
 
     for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
+        w_t = w_s
         if config.estimate_w_t:
-            w_t = estimate_target_weights(
-                encoder_t, classifier, target.features, config.weight_floor
-            )
-        else:
-            w_t = w_s
+            w_t = estimate_target_weights(*nets[1:], target.features, config.weight_floor)
         sums = np.zeros(4)
         skipped_pairs = 0
         for batch_idx in range(steps):
@@ -437,34 +424,21 @@ def fit(
             idx_t = capped_indices(rng, target.n, config.batch_size)
             try:
                 step = compute_step_gradients(
-                    encoder_s, encoder_t, classifier,
-                    source.features[idx_s], source.labels[idx_s],
-                    target.features[idx_t],
-                    w_s, w_t, config,
+                    *nets, source.features[idx_s], source.labels[idx_s],
+                    target.features[idx_t], w_s, w_t, config,
                 )
-                classifier, vel_cls = nn.sgd_momentum_step(
-                    classifier, step.grads_classifier, vel_cls, config.lr, config.momentum
-                )
-                encoder_s, vel_es = nn.sgd_momentum_step(
-                    encoder_s, step.grads_encoder_s, vel_es, config.lr, config.momentum
-                )
-                encoder_t, vel_et = nn.sgd_momentum_step(
-                    encoder_t, step.grads_encoder_t, vel_et, config.lr, config.momentum
-                )
+                _descend(nets, step[:3], velocity, config)
             except _FAILURES as exc:
                 raise TrainingError(epoch, batch_idx, exc) from exc
-            sums += (step.bundle.l_y, step.bundle.l_d, step.bundle.l_intra, step.bundle.l_inter)
+            sums += step.losses
             skipped_pairs += step.skipped_pairs
 
-        mean = sums / steps
         bundle = nn.LossBundle.from_parts(
-            mean[0], mean[1], mean[2], mean[3],
-            config.lambda_y, config.lambda_d, config.lambda_c, config.lambda_a,
+            *(sums / steps), config.lambda_y, config.lambda_d, config.lambda_c, config.lambda_a,
         )
         try:
             report, source_acc, target_acc = _epoch_snapshot(
-                encoder_s, encoder_t, classifier, source, target, eval_labels, w_t,
-                config, epoch,
+                *nets, source, target, eval_labels, w_t, config, epoch
             )
         except _FAILURES as exc:
             raise TrainingError(epoch, -1, exc) from exc
@@ -477,8 +451,7 @@ def fit(
                 target_accuracy=target_acc,
                 bound=report,
                 skipped_pairs=skipped_pairs,
-                seconds=time.perf_counter() - started,
             )
         )
 
-    return DarsaModels(encoder_s, encoder_t, classifier), metrics
+    return DarsaModels(*nets), metrics

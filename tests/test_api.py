@@ -1,6 +1,10 @@
 """The public surface: exported names, and the solve path callers can wrap."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -72,3 +76,15 @@ def test_solves_resolve_through_ot_module(monkeypatch):
     )
     assert calls.count("sinkhorn") == 3
     assert calls.count("euclidean_cost_matrix") == 3
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported on first use by the exact solvers; loading
+    # it with the package would add its import time to every CLI call.
+    code = "import sys, darsa; print('scipy.optimize' in sys.modules)"
+    src = str(Path(darsa.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -166,15 +166,17 @@ def test_ot_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
-def test_nan_reg_exits_two(figure1_csvs, tmp_path, capsys):
+@pytest.mark.parametrize("reg", ["nan", "inf"])
+def test_nan_reg_exits_two(figure1_csvs, tmp_path, capsys, reg):
     # NaN passes a `reg <= 0` check; a solve at NaN reg would run to
-    # max_iter and print a NaN cost with exit 0.
+    # max_iter and print a NaN cost with exit 0. At infinite reg the plan
+    # is the product coupling a⊗b, whose cost is no W1 estimate.
     src, tgt = figure1_csvs
-    assert main(["ot", str(src), str(tgt), "--method", "sinkhorn", "--reg", "nan"]) == 2
-    bounds = ["bounds", "--source", str(src), "--target", str(tgt), "--reg", "nan"]
+    assert main(["ot", str(src), str(tgt), "--method", "sinkhorn", "--reg", reg]) == 2
+    bounds = ["bounds", "--source", str(src), "--target", str(tgt), "--reg", reg]
     assert main([*bounds, "--out", str(tmp_path / "b")]) == 2
-    assert main(["figure1", "--n", "200", "--reg", "nan", "--out", str(tmp_path / "f")]) == 2
-    assert capsys.readouterr().err.count("reg must be positive") == 3
+    assert main(["figure1", "--n", "200", "--reg", reg, "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err.count("reg must be positive and finite") == 3
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from darsa.nn import (
     ACTIVATIONS,
@@ -330,6 +332,95 @@ def test_inter_gradient_fd():
         assert max_rel_error(result.grads_source[i], fd) <= 1e-4
         fd = fd_gradient(lambda: loss_inter(parts_s, parts_t).value, parts_t[i])
         assert max_rel_error(result.grads_target[i], fd) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# All four loss gradients on random shapes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _labeled_batches(draw):
+    """A source and a target batch of random shape, with one drawn class
+    missing from one drawn side, so that every draw has a class empty on
+    one side; other classes may be missing by chance."""
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 4))
+    labels_s = np.array(draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=9)))
+    labels_t = np.array(draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=9)))
+    gone = draw(st.integers(0, k - 1))
+    side = labels_s if draw(st.booleans()) else labels_t
+    side[side == gone] = (gone + 1) % k
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feat_s = rng.normal(size=(labels_s.size, d))
+    feat_t = rng.normal(size=(labels_t.size, d)) + rng.normal(size=d)
+    return k, feat_s, labels_s, feat_t, labels_t, rng
+
+
+def _scatter(parts, labels, like):
+    """Per-class gradient blocks put back onto the rows of their class."""
+    full = np.zeros_like(like)
+    for c, part in enumerate(parts):
+        full[labels == c] = part
+    return full
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_labeled_batches(), st.sampled_from([None, 2.0]))
+def test_loss_gradients_match_finite_differences(batches, ratio_cap):
+    # Every analytic gradient against central differences of its loss:
+    # the discrepancy with its couplings held fixed (the envelope gradient),
+    # the intra loss away from its hinge, where it is differentiable.
+    k, feat_s, labels_s, feat_t, labels_t, rng = batches
+    logits = rng.normal(size=(labels_s.size, k))
+    w_t = ClassWeights(rng.dirichlet(np.ones(k)))
+    w_s = rng.dirichlet(np.ones(k)) + 0.1
+    w_s = ClassWeights(w_s / w_s.sum())
+
+    def classification():
+        return loss_classification_weighted(logits, labels_s, w_t, w_s, ratio_cap=ratio_cap)
+
+    fd = fd_gradient(lambda: classification().value, logits)
+    assert max_rel_error(classification().grad, fd) <= 1e-6
+
+    disc = loss_discrepancy_weighted(
+        feat_s, labels_s, feat_t, labels_t, w_t, reg=0.1, max_iter=5000, tol=1e-4,
+        reg_mode="relative",
+    )
+
+    def class_cost(c):
+        return euclidean_cost_matrix(feat_s[labels_s == c], feat_t[labels_t == c])
+
+    # The Euclidean cost has a kink where a source and a target point meet.
+    assume(all(class_cost(c).min() > 1e-2 for c in disc.couplings))
+
+    def frozen_discrepancy():
+        return sum(w_t[c] * float(np.sum(p * class_cost(c))) for c, p in disc.couplings.items())
+
+    assert max_rel_error(disc.grad_source, fd_gradient(frozen_discrepancy, feat_s)) <= 1e-5
+    assert max_rel_error(disc.grad_target, fd_gradient(frozen_discrepancy, feat_t)) <= 1e-5
+
+    margin = 2.0
+    for feats, labels in ((feat_s, labels_s), (feat_t, labels_t)):
+        sq_dist = euclidean_cost_matrix(feats, feats) ** 2
+        other = labels[:, None] != labels[None, :]
+        assume(np.abs(sq_dist - margin)[other].min(initial=1.0) > 1e-3)
+        intra = loss_intra(feats, labels, margin)
+        fd = fd_gradient(lambda: loss_intra(feats, labels, margin).value, feats)
+        assert max_rel_error(intra.grad, fd) <= 1e-6
+
+    def parts(feats, labels):
+        return [feats[labels == c] for c in range(k)]
+
+    def inter():
+        return loss_inter(parts(feat_s, labels_s), parts(feat_t, labels_t))
+
+    result = inter()
+    assert result.skipped
+    grad_s = _scatter(result.grads_source, labels_s, feat_s)
+    grad_t = _scatter(result.grads_target, labels_t, feat_t)
+    assert max_rel_error(grad_s, fd_gradient(lambda: inter().value, feat_s)) <= 1e-6
+    assert max_rel_error(grad_t, fd_gradient(lambda: inter().value, feat_t)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from darsa.ot import (
     pairwise_component_w1,
     sample_gmm,
     sinkhorn,
+    uniform_plan,
     w1_empirical,
     w1_exact_1d,
     w1_matrix,
@@ -254,14 +255,24 @@ def test_sinkhorn_divergence_error():
         ({"tol": -1e-6}, "tol must be non-negative"),
         ({"tol": np.nan}, "tol must be non-negative"),
         ({"reg": np.nan}, "reg must be positive"),
+        ({"reg": np.inf}, "reg must be positive and finite"),
     ],
 )
 def test_sinkhorn_rejects_bad_settings(kwargs, message):
     # A residual of exactly 0 never meets a negative or NaN tol, and the
     # over-relaxation's rate estimate would then divide by it. A NaN reg
-    # would run to max_iter and return a NaN cost.
+    # would run to max_iter and return a NaN cost; an infinite one returns
+    # the product coupling.
     with pytest.raises(ValueError, match=message):
         sinkhorn([[2.5]], [1.0], [1.0], **{"reg": 1.0, **kwargs})
+
+
+def test_non_finite_features_name_the_cost_not_the_reg():
+    # A relative reg resolved against a NaN cost matrix is NaN itself; the
+    # cost is checked first, so the error names the cause.
+    x = np.array([[0.0], [np.nan], [1.0]])
+    with pytest.raises(ValueError, match="cost matrix must be a finite 2-D array"):
+        uniform_plan(x, np.array([[0.5], [2.0]]), 0.05, 100, 1e-3, reg_mode="relative")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

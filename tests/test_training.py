@@ -1,7 +1,8 @@
 """Tests for the training driver: determinism, update scopes, weights."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import darsa
 from darsa import bounds, nn
 from darsa.ot import euclidean_cost_matrix
 from darsa.bounds import split_by_class
@@ -16,6 +18,7 @@ from darsa.synthdata import Dataset, make_figure1_task, make_shifted_gmm
 from darsa.training import (
     DarsaConfig,
     DarsaModels,
+    EpochRecord,
     TrainingError,
     compute_step_gradients,
     default_networks,
@@ -26,6 +29,8 @@ from darsa.training import (
 )
 from darsa.weights import ClassWeights
 from helpers import fd_gradient, max_rel_error
+
+SCHEMA_DIR = Path(darsa.__file__).parent / "schemas"
 
 
 def _separable_task(rng, n=300):
@@ -191,6 +196,13 @@ def test_fit_determinism_bit_identical():
     seq_b = [r.losses for r in metrics_b.records]
     assert seq_a == seq_b
     assert metrics_a.to_jsonl() == metrics_b.to_jsonl()
+
+
+def test_epoch_record_fields_match_metrics_schema():
+    # Every field of a record is written to metrics.jsonl: a field that
+    # serialization drops would be computed each epoch and read by nothing.
+    schema = json.loads((SCHEMA_DIR / "metrics_record.schema.json").read_text())
+    assert [fld.name for fld in fields(EpochRecord)] == list(schema["properties"])
 
 
 def test_fit_w_t_on_simplex_every_epoch():
