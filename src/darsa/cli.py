@@ -38,12 +38,17 @@ BOUND_CSV_FIELDS = (
     "holds",
 )
 
-# JSON kinds of the fields of an experiment config and of its task, where present.
-_JSON_KINDS = {
-    "log_every": "int", "out_dir": "str", "source": "str", "target": "str", "k": "int",
-    "d": "int", "n_per_domain": "int", "sigma": "float", "mean_separation": "float",
-    "target_mean_shift": "float", "source_props": "tuple", "target_props": "tuple",
+# Each task's parameters in manifest order, with their JSON kinds (a "tuple" is a class
+# proportion list); figure1's and gmm's are their generator's keywords but ``seed``.
+_TASKS = {
+    "figure1": dict(sigma="float", n_per_domain="int"),
+    "gmm": dict(k="int", d="int", mean_separation="float", target_mean_shift="float",
+                source_props="tuple", target_props="tuple", n_per_domain="int", sigma="float"),
+    "csv": dict(source="str", target="str"),
 }
+# JSON kinds of the fields of an experiment config and of its task, where present.
+_JSON_KINDS = {"log_every": "int", "out_dir": "str",
+               **{key: kind for params in _TASKS.values() for key, kind in params.items()}}
 
 
 def _require_file(path_str: str) -> Path:
@@ -174,34 +179,20 @@ def cmd_bounds(args) -> int:
 def _task_datasets(task: dict, seed: int):
     """Source and target of a ``train`` task; a ``gen`` manifest's generator block is one."""
     name = task.get("name")
-    required = {"gmm": ("k", "d", "mean_separation", "target_mean_shift", "source_props",
-                        "target_props", "n_per_domain", "sigma"), "csv": ("source", "target")}
-    missing = [key for key in required.get(name, ()) if key not in task]
+    if not isinstance(name, str) or name not in _TASKS:
+        raise ValueError(f"unknown task {name!r}")
+    if name == "figure1":
+        task = {"sigma": 0.05, "n_per_domain": 2000, **task}
+    missing = [key for key in _TASKS[name] if key not in task]
     if missing:
         raise ValueError(f"{name} task is missing {', '.join(map(repr, missing))}")
-    if name == "figure1":
-        return make_figure1_task(
-            sigma=task.get("sigma", 0.05),
-            n_per_domain=task.get("n_per_domain", 2000),
-            seed=seed,
-        )
-    if name == "gmm":
-        return make_shifted_gmm(
-            k=task["k"],
-            d=task["d"],
-            mean_separation=task["mean_separation"],
-            target_mean_shift=task["target_mean_shift"],
-            source_props=ClassWeights(np.asarray(task["source_props"], dtype=float)),
-            target_props=ClassWeights(np.asarray(task["target_props"], dtype=float)),
-            n_per_domain=task["n_per_domain"],
-            sigma=task["sigma"],
-            seed=seed,
-        )
     if name == "csv":
-        source = _load_dataset(task["source"], need_labels=True)
-        target = _load_dataset(task["target"])
-        return source, target
-    raise ValueError(f"unknown task {name!r}")
+        return _load_dataset(task["source"], need_labels=True), _load_dataset(task["target"])
+    params = {
+        key: ClassWeights(np.asarray(task[key], dtype=float)) if kind == "tuple" else task[key]
+        for key, kind in _TASKS[name].items()
+    }
+    return (make_figure1_task if name == "figure1" else make_shifted_gmm)(**params, seed=seed)
 
 
 def cmd_train(args) -> int:
@@ -293,16 +284,10 @@ def _props_arg(text: str, flag: str) -> list:
 
 def cmd_gen(args) -> int:
     """Generate a synthetic task and write it as CSV plus a manifest."""
-    if args.task == "figure1":
-        generator = {"name": "figure1", "sigma": args.sigma, "n_per_domain": args.n}
-    else:
-        generator = {
-            "name": "gmm", "k": args.k, "d": args.d,
-            "mean_separation": args.separation, "target_mean_shift": args.shift,
-            "source_props": _props_arg(args.source_props, "--source-props"),
-            "target_props": _props_arg(args.target_props, "--target-props"),
-            "n_per_domain": args.n, "sigma": args.sigma,
-        }
+    generator = {"name": args.task}
+    for key, kind in _TASKS[args.task].items():
+        value = getattr(args, key)
+        generator[key] = _props_arg(value, f"--{key.replace('_', '-')}") if kind == "tuple" else value
     source, target = _task_datasets(generator, args.seed)
     out = _out_dir(args.out)
     source.to_csv(out / "source.csv")
@@ -358,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int, help="override adaptation epochs")
     p_train.add_argument("--out", help="override output directory")
     p_train.add_argument(
-        "--task", choices=["figure1", "gmm", "csv"],
+        "--task", choices=list(_TASKS),
         help="override the config's task name (parameters still come from the config)",
     )
     p_train.set_defaults(func=cmd_train)
@@ -372,15 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(func=cmd_figure1)
 
     p_gen = subs.add_parser("gen", help="generate synthetic datasets")
-    p_gen.add_argument("--task", choices=["figure1", "gmm"], required=True)
+    p_gen.add_argument("--task", choices=[name for name in _TASKS if name != "csv"], required=True)
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--sigma", type=float, default=0.05)
-    p_gen.add_argument("--n", type=int, default=2000, help="samples per domain")
+    p_gen.add_argument("--n", dest="n_per_domain", metavar="N", type=int, default=2000,
+                       help="samples per domain")
     p_gen.add_argument("--k", type=int, default=3)
     p_gen.add_argument("--d", type=int, default=2)
-    p_gen.add_argument("--separation", type=float, default=1.2)
-    p_gen.add_argument("--shift", type=float, default=0.5)
+    p_gen.add_argument("--separation", dest="mean_separation", metavar="SEPARATION", type=float,
+                       default=1.2)
+    p_gen.add_argument("--shift", dest="target_mean_shift", metavar="SHIFT", type=float, default=0.5)
     p_gen.add_argument("--source-props", dest="source_props", default="[0.6, 0.2, 0.2]")
     p_gen.add_argument("--target-props", dest="target_props", default="[0.2, 0.2, 0.6]")
     p_gen.set_defaults(func=cmd_gen)

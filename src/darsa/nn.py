@@ -284,6 +284,8 @@ def _nll_and_grad(logits, labels):
     rows = np.arange(logits.shape[0])
     if labels.size != rows.size:
         raise ValueError("labels do not match the batch")
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        raise ValueError(f"label outside 0..{logits.shape[1] - 1}")
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     grad = np.exp(log_probs)
@@ -380,8 +382,8 @@ def loss_intra(features, labels, margin: float) -> LossValue:
     pairs a hinge pushing the squared distance past ``margin``. The
     diagonal is included and contributes zero.
     """
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < np.inf:
+        raise ValueError("margin must be positive and finite")
     x = np.atleast_2d(np.asarray(features, dtype=float))
     labels = np.asarray(labels, dtype=int).reshape(-1)
     n = x.shape[0]

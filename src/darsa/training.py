@@ -34,7 +34,8 @@ class TrainingError(RuntimeError):
         super().__init__(f"training failed at epoch {epoch}, batch {batch}: {cause}")
 
 
-# What ``fit`` reports as a ``TrainingError``: in pretraining, a step or the snapshot.
+# What ``fit`` reports as a ``TrainingError``: in pretraining, the target-weight
+# estimate, a step or the snapshot.
 _FAILURES = (nn.GradientBlowupError, FloatingPointError, ValueError, ot.SinkhornDivergenceError)
 
 
@@ -415,8 +416,11 @@ def fit(source: Dataset, target: Dataset, config: DarsaConfig, eval_labels=None)
 
     for epoch in range(1, config.epochs + 1):
         w_t = w_s
-        if config.estimate_w_t:
-            w_t = estimate_target_weights(*nets[1:], target.features, config.weight_floor)
+        try:
+            if config.estimate_w_t:
+                w_t = estimate_target_weights(*nets[1:], target.features, config.weight_floor)
+        except _FAILURES as exc:
+            raise TrainingError(epoch, -1, exc) from exc
         sums = np.zeros(4)
         skipped_pairs = 0
         for batch_idx in range(steps):

@@ -1,5 +1,6 @@
 """CLI tests: subcommand behavior, exit codes, and output schemas."""
 
+import inspect
 import json
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import pytest
 from referencing import Registry, Resource
 
 import darsa
-from darsa.cli import _task_datasets, main
-from darsa.synthdata import Dataset, make_figure1_task
+from darsa.cli import _TASKS, _task_datasets, main
+from darsa.synthdata import Dataset, make_figure1_task, make_shifted_gmm
 from darsa.training import DarsaConfig, DarsaModels, default_networks
 
 SCHEMA_DIR = Path(darsa.__file__).parent / "schemas"
@@ -325,11 +326,24 @@ def test_train_seed_override_changes_metrics(tmp_path):
     ).read_bytes()
 
 
-def test_train_failure_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "document, where",
+    [
+        (None, "epoch"),
+        # One pretraining step leaves huge but finite weights; the epoch-1
+        # target-weight estimate is the first thing to overflow.
+        ({"task": {"name": "figure1", "n_per_domain": 100},
+          "darsa": {"lr": 1e200, "epochs": 1, "pretrain_epochs": 1}}, "epoch 1, batch -1"),
+    ],
+    ids=["step", "estimate"],
+)
+def test_train_failure_exit_code(tmp_path, capsys, document, where):
     config = _train_config(tmp_path, darsa={"lr": 1e200, "pretrain_epochs": 0, "seed": 1})
-    code = main(["train", "--config", str(config)])
+    if document is not None:
+        config.write_text(json.dumps(document))
+    code = main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
     assert code == 4
-    assert "epoch" in capsys.readouterr().err
+    assert where in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -368,6 +382,8 @@ GMM_TASK = {
         ("train", {"task": {**GMM_TASK, "k": "3"}}, "invalid task: k must be int"),
         ("mw1", [1], "malformed mixture manifest"),
         ("mw1", {"weights": [1.0], "components": 5}, "malformed mixture manifest"),
+        ("train", {"log_every": 0}, "log_every must be at least 1"),
+        ("train", {"task": {"name": ["gmm"]}}, "unknown task ['gmm']"),
     ],
 )
 def test_malformed_json_input_exits_two(tmp_path, capsys, command, document, message):
@@ -399,6 +415,16 @@ def test_train_task_missing_key_exits_two(tmp_path, capsys, task, message):
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "name, generator", [("figure1", make_figure1_task), ("gmm", make_shifted_gmm)]
+)
+def test_task_table_matches_generators(name, generator):
+    # A task's parameters are its generator's keywords but ``seed``, in order:
+    # the order of a ``gen`` manifest's generator block.
+    keywords = [key for key in inspect.signature(generator).parameters if key != "seed"]
+    assert list(_TASKS[name]) == keywords
 
 
 def test_snapshot_divergence_exits_four(tmp_path, capsys):
@@ -544,3 +570,27 @@ def test_gen_gmm_deterministic(tmp_path):
     assert (tmp_path / "g1" / "source.csv").read_bytes() == (
         tmp_path / "g2" / "source.csv"
     ).read_bytes()
+
+
+def test_gen_train_csv_bounds_checkpoint_roundtrip(tmp_path, capsys):
+    # ``gen`` writes a gmm task, ``train`` reads it back as a csv task, and
+    # ``bounds`` evaluates the written checkpoint on the same files.
+    data = tmp_path / "data"
+    gen = ["gen", "--task", "gmm", "--n", "90", "--seed", "3", "--out", str(data)]
+    assert main(gen) == 0
+    validate(json.loads((data / "manifest.json").read_text()), "dataset_manifest.schema.json")
+    task = {"name": "csv", "source": str(data / "source.csv"), "target": str(data / "target.csv")}
+    config = _train_config(tmp_path, task=task, darsa={"epochs": 1, "pretrain_epochs": 2})
+    assert main(["train", "--config", str(config)]) == 0
+    run = tmp_path / "run"
+    validate(json.loads((run / "summary.json").read_text()), "summary.schema.json")
+    for line in (run / "metrics.jsonl").read_text().splitlines():
+        validate(json.loads(line), "metrics_record.schema.json")
+    capsys.readouterr()
+    bounds_out = tmp_path / "bounds"
+    argv = ["bounds", "--source", task["source"], "--target", task["target"],
+            "--checkpoint", str(run / "checkpoint.json"), "--out", str(bounds_out)]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    validate(report, "bound_report.schema.json")
+    assert json.loads((bounds_out / "boundreport.json").read_text()) == report

@@ -130,6 +130,18 @@ def test_weighted_ce_degenerate_source_weight():
         loss_classification_weighted(logits, labels, w_t, w_s, weight_floor=1e-3)
 
 
+@pytest.mark.parametrize("label", [-1, 3])
+def test_classification_losses_reject_labels_outside_classes(label):
+    # Label -1 would read the last class's log-probability and label K
+    # would index past the logits.
+    logits = [[2.0, 0.0, -1.0]]
+    w = ClassWeights(np.full(3, 1.0 / 3.0))
+    with pytest.raises(ValueError, match="label outside 0..2"):
+        cross_entropy(logits, [label])
+    with pytest.raises(ValueError, match="label outside 0..2"):
+        loss_classification_weighted(logits, [label], w, w)
+
+
 def test_weighted_ce_ratio_cap():
     logits = np.array([[0.3, -0.2]])
     labels = np.array([0])
@@ -261,6 +273,12 @@ def test_intra_hand_computed():
 def test_intra_hinge_inactive_beyond_margin():
     feats = np.array([[0.0], [10.0]])  # squared distance 100 >= margin
     assert loss_intra(feats, [0, 1], margin=30.0).value == 0.0
+
+
+@pytest.mark.parametrize("margin", [0.0, -1.0, np.nan, np.inf])
+def test_intra_rejects_bad_margin(margin):
+    with pytest.raises(ValueError, match="margin must be positive and finite"):
+        loss_intra(np.zeros((2, 1)), [0, 1], margin)
 
 
 def test_intra_permutation_invariant():
