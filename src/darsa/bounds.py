@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import ot
-from .weights import ClassWeights, class_rows
+from .weights import ClassWeights, as_labels, class_rows
 
 EXACT_TOL = 1e-12
 
@@ -35,15 +35,14 @@ class SubdomainPartition:
     rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        assignments = np.asarray(self.assignments, dtype=int).reshape(-1)
-        object.__setattr__(self, "assignments", assignments)
         if self.k < 1:
             raise ValueError("K must be positive")
+        assignments = as_labels(self.assignments)
+        object.__setattr__(self, "assignments", assignments)
         try:
-            rows = class_rows(assignments, self.k)
+            object.__setattr__(self, "rows", class_rows(assignments, self.k))
         except ValueError:
             raise ValueError(f"assignment outside 0..{self.k - 1}") from None
-        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
@@ -87,8 +86,7 @@ class SubdomainRisks(NamedTuple):
 
 
 def _check_paired(predictions, labels):
-    predictions = np.asarray(predictions, dtype=int).reshape(-1)
-    labels = np.asarray(labels, dtype=int).reshape(-1)
+    predictions, labels = as_labels(predictions), as_labels(labels)
     if predictions.size != labels.size:
         raise ValueError("predictions and labels differ in length")
     if predictions.size == 0:

@@ -124,8 +124,6 @@ def cmd_ot(args) -> int:
         cloud_a = _load_dataset(args.a).features
         cloud_b = _load_dataset(args.b).features
         if method == "exact1d":
-            if cloud_a.shape[1] != 1 or cloud_b.shape[1] != 1:
-                raise ValueError("exact1d requires one-dimensional clouds")
             value, residual = ot.w1_exact_1d(cloud_a, cloud_b), 0.0
         elif method == "exact":
             cost = ot.euclidean_cost_matrix(cloud_a, cloud_b)

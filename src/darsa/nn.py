@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import ot
-from .weights import ClassWeights, class_rows
+from .weights import ClassWeights, as_labels, class_rows
 
 LEAKY_SLOPE = 0.01
 CHECKPOINT_FORMAT_VERSION = 1
@@ -278,24 +278,22 @@ class LossBundle:
 
 
 def _nll_and_grad(logits, labels):
-    """Per-sample negative log-likelihoods and their unscaled logit gradients."""
+    """Per-sample negative log-likelihoods, unscaled logit gradients, labels."""
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    labels = np.asarray(labels, dtype=int).reshape(-1)
     rows = np.arange(logits.shape[0])
-    if labels.size != rows.size:
-        raise ValueError("labels do not match the batch")
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise ValueError(f"label outside 0..{logits.shape[1] - 1}")
+    labels = as_labels(labels, logits.shape[1], rows.size)
+    if not rows.size:
+        raise ValueError("empty batch")
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     grad = np.exp(log_probs)
     grad[rows, labels] -= 1.0
-    return -log_probs[rows, labels], grad
+    return -log_probs[rows, labels], grad, labels
 
 
 def cross_entropy(logits, labels) -> LossValue:
     """Mean cross-entropy over a batch, with the gradient w.r.t. logits."""
-    nll, grad = _nll_and_grad(logits, labels)
+    nll, grad, _ = _nll_and_grad(logits, labels)
     return LossValue(float(nll.mean()), grad / nll.size)
 
 
@@ -314,7 +312,7 @@ def loss_classification_weighted(
     more attention. ``ratio_cap`` optionally bounds the ratio to keep the
     variance of the reweighted loss in check when a source class is rare.
     """
-    nll, grad = _nll_and_grad(logits, labels)
+    nll, grad, labels = _nll_and_grad(logits, labels)
     if w_t.k != w_s.k or grad.shape[1] != w_s.k:
         raise ValueError("class weight length does not match the logits")
     if np.any(w_s.w < weight_floor):
@@ -322,7 +320,7 @@ def loss_classification_weighted(
     ratios = w_t.w / w_s.w
     if ratio_cap is not None:
         ratios = np.minimum(ratios, ratio_cap)
-    sample_ratio = ratios[np.asarray(labels, dtype=int).reshape(-1)]
+    sample_ratio = ratios[labels]
     grad *= sample_ratio[:, None] / nll.size
     return LossValue(float((nll * sample_ratio).mean()), grad)
 
@@ -385,10 +383,10 @@ def loss_intra(features, labels, margin: float) -> LossValue:
     if not 0 < margin < np.inf:
         raise ValueError("margin must be positive and finite")
     x = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = np.asarray(labels, dtype=int).reshape(-1)
     n = x.shape[0]
-    if labels.size != n:
-        raise ValueError("labels do not match the batch")
+    labels = as_labels(labels, n=n)
+    if not n:
+        raise ValueError("empty batch")
     gram = x @ x.T
     sq_norms = np.diag(gram)
     sq_dist = np.maximum(sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram, 0.0)

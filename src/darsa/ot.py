@@ -215,10 +215,13 @@ def w1_exact_1d(samples_a, samples_b) -> float:
     """Exact Wasserstein-1 distance between two 1-D empirical distributions.
 
     Integrates ``|F - G|`` between the two empirical CDFs over the merged
-    sorted samples, which is exact for any pair of sample counts.
+    sorted samples, which is exact for any pair of sample counts. A cloud
+    with more than one column raises.
     """
-    a = np.sort(_as_samples(samples_a, "samples_a").reshape(-1))
-    b = np.sort(_as_samples(samples_b, "samples_b").reshape(-1))
+    a, b = _as_samples(samples_a, "samples_a"), _as_samples(samples_b, "samples_b")
+    if any(x.ndim > 1 and x.size != len(x) for x in (a, b)):
+        raise ValueError("exact1d requires one-dimensional clouds")
+    a, b = np.sort(a.reshape(-1)), np.sort(b.reshape(-1))
     grid = np.sort(np.concatenate([a, b]))
     cdf_a = np.searchsorted(a, grid[:-1], side="right") / a.size
     cdf_b = np.searchsorted(b, grid[:-1], side="right") / b.size

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ot
-from .weights import ClassWeights, class_rows
+from .weights import ClassWeights, as_labels, class_rows
 
 # Figure-one style task: two unit-weight-shifted Gaussians per domain.
 FIGURE1_SOURCE_MEANS = (-1.5, 1.5)
@@ -58,9 +58,7 @@ class Dataset:
         if self.k < 1:
             raise ValueError("K must be positive")
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=int).reshape(-1)
-            object.__setattr__(self, "labels", labels)
-            class_rows(labels, self.k, features.shape[0])  # length and range check
+            object.__setattr__(self, "labels", as_labels(self.labels, self.k, features.shape[0]))
 
     @property
     def n(self) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, nn, ot
 from .synthdata import Dataset, capped_indices
-from .weights import ClassWeights, class_rows
+from .weights import ClassWeights, as_labels, class_rows
 
 
 class TrainingError(RuntimeError):
@@ -198,7 +198,8 @@ def predict(encoder: nn.NetworkParams, classifier: nn.NetworkParams, x) -> np.nd
 
 
 def accuracy(encoder, classifier, x, labels) -> float:
-    return float(np.mean(predict(encoder, classifier, x) == np.asarray(labels, dtype=int)))
+    predictions = predict(encoder, classifier, x)
+    return float(np.mean(predictions == as_labels(labels, n=predictions.size)))
 
 
 def estimate_target_weights(
@@ -396,66 +397,55 @@ def fit(source: Dataset, target: Dataset, config: DarsaConfig, eval_labels=None)
     if source.k != target.k:
         raise ValueError("class cardinality mismatch")
     if eval_labels is not None:
-        eval_labels = np.asarray(eval_labels, dtype=int).reshape(-1)
-        if eval_labels.size != target.n:
-            raise ValueError("evaluation labels do not cover the target")
+        eval_labels = as_labels(eval_labels, n=target.n)
 
     rng = np.random.default_rng(config.seed)
     encoder, classifier = default_networks(source.dim, source.k, config, rng)
     w_s = ClassWeights.from_labels(source.labels, source.k)
-    try:
-        encoder, classifier = pretrain(encoder, classifier, source, config, rng=rng)
-    except _FAILURES as exc:
-        raise TrainingError(0, -1, exc) from exc
-    # DarsaModels field order; both encoders start as the pretrained one
-    # (immutable: the updates below fork the parameters).
-    nets = [encoder, encoder, classifier]
-    velocity = [nn.zero_velocity(net) for net in nets]
     steps = _steps_per_epoch(source, config)
     metrics = TrainMetrics()
-
-    for epoch in range(1, config.epochs + 1):
-        w_t = w_s
-        try:
+    # One failure boundary; a failure outside the step loop is at batch -1.
+    epoch, batch_idx = 0, -1
+    try:
+        encoder, classifier = pretrain(encoder, classifier, source, config, rng=rng)
+        # DarsaModels field order; both encoders start as the pretrained one
+        # (immutable: the updates below fork the parameters).
+        nets = [encoder, encoder, classifier]
+        velocity = [nn.zero_velocity(net) for net in nets]
+        for epoch in range(1, config.epochs + 1):
+            w_t = w_s
             if config.estimate_w_t:
                 w_t = estimate_target_weights(*nets[1:], target.features, config.weight_floor)
-        except _FAILURES as exc:
-            raise TrainingError(epoch, -1, exc) from exc
-        sums = np.zeros(4)
-        skipped_pairs = 0
-        for batch_idx in range(steps):
-            idx_s = capped_indices(rng, source.n, config.batch_size)
-            idx_t = capped_indices(rng, target.n, config.batch_size)
-            try:
+            sums = np.zeros(4)
+            skipped_pairs = 0
+            for batch_idx in range(steps):
+                idx_s = capped_indices(rng, source.n, config.batch_size)
+                idx_t = capped_indices(rng, target.n, config.batch_size)
                 step = compute_step_gradients(
                     *nets, source.features[idx_s], source.labels[idx_s],
                     target.features[idx_t], w_s, w_t, config,
                 )
                 _descend(nets, step[:3], velocity, config)
-            except _FAILURES as exc:
-                raise TrainingError(epoch, batch_idx, exc) from exc
-            sums += step.losses
-            skipped_pairs += step.skipped_pairs
-
-        bundle = nn.LossBundle.from_parts(
-            *(sums / steps), config.lambda_y, config.lambda_d, config.lambda_c, config.lambda_a,
-        )
-        try:
+                sums += step.losses
+                skipped_pairs += step.skipped_pairs
+            batch_idx = -1
+            bundle = nn.LossBundle.from_parts(
+                *(sums / steps), config.lambda_y, config.lambda_d, config.lambda_c, config.lambda_a,
+            )
             report, source_acc, target_acc = _epoch_snapshot(
                 *nets, source, target, eval_labels, w_t, config, epoch
             )
-        except _FAILURES as exc:
-            raise TrainingError(epoch, -1, exc) from exc
-        metrics.append(
-            EpochRecord(
-                epoch=epoch,
-                losses=bundle,
-                w_t=w_t.w.copy(),
-                source_accuracy=source_acc,
-                target_accuracy=target_acc,
-                bound=report,
-                skipped_pairs=skipped_pairs,
+            metrics.append(
+                EpochRecord(
+                    epoch=epoch,
+                    losses=bundle,
+                    w_t=w_t.w.copy(),
+                    source_accuracy=source_acc,
+                    target_accuracy=target_acc,
+                    bound=report,
+                    skipped_pairs=skipped_pairs,
+                )
             )
-        )
-
+    except _FAILURES as exc:
+        raise TrainingError(epoch, batch_idx, exc) from exc
     return DarsaModels(*nets), metrics

@@ -1,10 +1,10 @@
-"""Class-weight vectors on the probability simplex.
+"""Class labels and class-weight vectors on the probability simplex.
 
 Both domains carry a weight per sub-domain (class): the source weights are
 the empirical label proportions, the target weights are estimated from
 classifier predictions. Everything downstream (reweighted losses, the
 sub-domain discrepancy, the bound estimators) consumes these as a
-``ClassWeights`` value.
+``ClassWeights`` value, and reads its label vectors through ``as_labels``.
 """
 
 from __future__ import annotations
@@ -16,15 +16,27 @@ import numpy as np
 SIMPLEX_TOL = 1e-9
 
 
-def class_rows(labels, k: int, n: int | None = None) -> list:
-    """Indices of the rows labelled ``c``, in order, for each ``c`` in
-    ``0..k-1`` (possibly empty). A label outside ``0..k-1`` raises, and so
-    does a label vector whose length is not ``n`` when ``n`` is given."""
-    labels = np.asarray(labels, dtype=int).reshape(-1)
+def as_labels(labels, k: int | None = None, n: int | None = None) -> np.ndarray:
+    """A flat int label vector (int input is not copied). Bool, int and
+    whole-valued float labels pass; any other value (0.9, NaN, inf) raises, as
+    do a length other than ``n`` and a label outside ``0..k-1``, each if given."""
+    raw = np.asarray(labels).reshape(-1)
+    if raw.dtype.kind not in "biu":
+        raw = raw.astype(float)
+        if not np.all((np.trunc(raw) == raw) & (np.abs(raw) < 2.0**63)):
+            raise ValueError("labels must be whole numbers")
+    labels = raw.astype(int, copy=False)
     if n is not None and labels.size != n:
         raise ValueError("labels do not cover the feature rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
+    if k is not None and labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label outside 0..{k - 1}")
+    return labels
+
+
+def class_rows(labels, k: int, n: int | None = None) -> list:
+    """Indices of the rows labelled ``c``, in order, for each ``c`` in
+    ``0..k-1`` (possibly empty); ``labels`` is checked by ``as_labels``."""
+    labels = as_labels(labels, k, n)
     return [np.flatnonzero(labels == c) for c in range(k)]
 
 

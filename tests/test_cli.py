@@ -103,6 +103,14 @@ def test_ot_exact1d_vs_sinkhorn(figure1_csvs, capsys):
     assert abs(values["exact1d"] - values["sinkhorn"]) <= 0.05
 
 
+def test_ot_exact1d_rejects_two_column_csv(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    Dataset(rng.normal(size=(6, 2)), None, 1).to_csv(tmp_path / "a.csv")
+    code = main(["ot", str(tmp_path / "a.csv"), str(tmp_path / "a.csv"), "--method", "exact1d"])
+    assert code == 2
+    assert "exact1d requires one-dimensional clouds" in capsys.readouterr().err
+
+
 def test_ot_exact_method_small_clouds(tmp_path, capsys):
     rng = np.random.default_rng(2)
     from darsa.synthdata import Dataset

@@ -142,6 +142,23 @@ def test_classification_losses_reject_labels_outside_classes(label):
         loss_classification_weighted(logits, [label], w, w)
 
 
+@pytest.mark.parametrize(
+    "loss", ["cross_entropy", "loss_classification_weighted", "loss_intra"]
+)
+def test_empty_batch_raises(loss):
+    # A mean over no samples has no value: raise rather than return NaN.
+    w = ClassWeights(np.array([0.5, 0.5]))
+    calls = {
+        "cross_entropy": lambda: cross_entropy(np.empty((0, 2)), []),
+        "loss_classification_weighted": lambda: loss_classification_weighted(
+            np.empty((0, 2)), [], w, w
+        ),
+        "loss_intra": lambda: loss_intra(np.empty((0, 2)), [], 1.0),
+    }
+    with pytest.raises(ValueError, match="empty batch"):
+        calls[loss]()
+
+
 def test_weighted_ce_ratio_cap():
     logits = np.array([[0.3, -0.2]])
     labels = np.array([0])

@@ -79,6 +79,19 @@ def test_w1_exact_1d_errors():
         w1_exact_1d([0.0, np.nan], [1.0])
 
 
+def test_w1_exact_1d_rejects_multi_column_clouds():
+    # Flattening (5, 2) and (4, 2) clouds would read 10 and 8 coordinates
+    # as samples on one axis.
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="exact1d requires one-dimensional clouds"):
+        w1_exact_1d(rng.normal(size=(5, 2)), rng.normal(size=(4, 2)))
+    with pytest.raises(ValueError, match="exact1d requires one-dimensional clouds"):
+        w1_exact_1d([0.0, 1.0], np.zeros((3, 2)))
+    # Lists, scalars, 1-D arrays and single columns are one-dimensional.
+    assert w1_exact_1d(0.0, [1.0]) == pytest.approx(1.0)
+    assert w1_exact_1d(np.array([[0.0], [2.0]]), np.array([1.0, 3.0])) == pytest.approx(1.0)
+
+
 def test_w1_exact_1d_unequal_lengths_symmetric():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=37), rng.normal(size=61) + 0.5

@@ -20,6 +20,7 @@ from darsa.training import (
     DarsaModels,
     EpochRecord,
     TrainingError,
+    accuracy,
     compute_step_gradients,
     default_networks,
     estimate_target_weights,
@@ -91,6 +92,15 @@ def test_predict_hand_computed_and_permutation():
     assert np.array_equal(preds, [0, 1, 0])
     perm = np.array([2, 0, 1])
     assert np.array_equal(predict(encoder, classifier, x[perm]), preds[perm])
+
+
+def test_accuracy_labels_must_cover_the_rows():
+    # A single label would broadcast against every prediction.
+    encoder = nn.NetworkParams((nn.Layer(np.eye(2), np.zeros(2), "identity"),))
+    x = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, -1.0]])
+    assert accuracy(encoder, encoder, x, [0, 1, 1]) == pytest.approx(2.0 / 3.0)
+    with pytest.raises(ValueError, match="labels do not cover"):
+        accuracy(encoder, encoder, x, [0])
 
 
 def test_estimate_weights_uniform_logits():

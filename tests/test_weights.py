@@ -1,0 +1,136 @@
+"""Label vectors: the one conversion and check, and every public entry point."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from darsa.bounds import (
+    SubdomainPartition,
+    bound_report,
+    source_risk,
+    split_by_class,
+    subdomain_risks,
+)
+from darsa.nn import (
+    cross_entropy,
+    loss_classification_weighted,
+    loss_discrepancy_weighted,
+    loss_intra,
+)
+from darsa.synthdata import Dataset
+from darsa.training import DarsaConfig, accuracy, default_networks, fit
+from darsa.weights import ClassWeights, as_labels, class_rows
+
+# ---------------------------------------------------------------------------
+# as_labels
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-(2**53), 2**53), max_size=20))
+def test_as_labels_whole_floats_map_to_their_ints(values):
+    labels = as_labels(np.array(values, dtype=float))
+    assert labels.dtype == np.int_
+    assert labels.tolist() == values
+
+
+def _not_a_label(value):
+    return not (math.isfinite(value) and value == math.trunc(value) and abs(value) < 2.0**63)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=20),
+    st.floats(allow_nan=True, allow_infinity=True).filter(_not_a_label),
+    st.integers(0, 19),
+)
+def test_as_labels_rejects_non_integral_values_without_warning(values, bad, position):
+    labels = np.array(values, dtype=float)
+    labels[position % labels.size] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="labels must be whole numbers"):
+            as_labels(labels)
+
+
+def test_as_labels_int_and_bool_input():
+    labels = np.arange(6).reshape(2, 3)
+    # Int input is flattened without a copy.
+    assert np.shares_memory(as_labels(labels), labels)
+    assert as_labels(labels).tolist() == list(range(6))
+    assert as_labels([True, False]).tolist() == [1, 0]
+    assert as_labels([]).dtype == np.int_
+
+
+def test_as_labels_checks_length_and_range_when_given():
+    assert as_labels([0, 2], k=3, n=2).tolist() == [0, 2]
+    with pytest.raises(ValueError, match="labels do not cover"):
+        as_labels([0, 1], n=3)
+    with pytest.raises(ValueError, match="label outside 0..1"):
+        as_labels([0, 2], k=2)
+    with pytest.raises(ValueError, match="label outside 0..1"):
+        as_labels([-1.0, 1.0], k=2)
+
+
+# ---------------------------------------------------------------------------
+# Every public label entry point
+# ---------------------------------------------------------------------------
+
+_RNG = np.random.default_rng(12)
+Y = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+FEAT = _RNG.normal(size=(8, 2))
+LOGITS = _RNG.normal(size=(8, 2))
+W = ClassWeights(np.array([0.4, 0.6]))
+CONFIG = DarsaConfig(epochs=1, pretrain_epochs=1, batch_size=8, snapshot_max=8, seed=0)
+NETS = default_networks(2, 2, CONFIG, np.random.default_rng(0))
+
+
+def _report(preds=Y, labels=Y, pseudo=Y):
+    return bound_report(FEAT, preds, labels, FEAT + 0.5, pseudo, W, reg=0.05).to_dict()
+
+
+ENTRY_POINTS = {
+    "class_rows": lambda y: class_rows(y, 2),
+    "ClassWeights.from_labels": lambda y: ClassWeights.from_labels(y, 2).w,
+    "cross_entropy": lambda y: cross_entropy(LOGITS, y),
+    "loss_classification_weighted": lambda y: loss_classification_weighted(LOGITS, y, W, W),
+    "loss_intra": lambda y: loss_intra(FEAT, y, 1.0),
+    "loss_discrepancy_weighted[labels_s]": lambda y: loss_discrepancy_weighted(
+        FEAT, y, FEAT + 0.5, Y, W
+    ),
+    "loss_discrepancy_weighted[pseudo_t]": lambda y: loss_discrepancy_weighted(
+        FEAT, Y, FEAT + 0.5, y, W
+    ),
+    "SubdomainPartition": lambda y: SubdomainPartition(y, 2).rows,
+    "source_risk[predictions]": lambda y: source_risk(y, Y),
+    "source_risk[labels]": lambda y: source_risk(Y, y),
+    "subdomain_risks": lambda y: subdomain_risks(Y[::-1], y, SubdomainPartition(Y, 2)),
+    "split_by_class": lambda y: split_by_class(FEAT, y, 2),
+    "bound_report[predictions]": lambda y: _report(preds=y),
+    "bound_report[labels]": lambda y: _report(labels=y),
+    "bound_report[pseudo_labels]": lambda y: _report(pseudo=y),
+    "Dataset": lambda y: Dataset(FEAT, y, 2).labels,
+    "fit[eval_labels]": lambda y: fit(
+        Dataset(FEAT, Y, 2), Dataset(FEAT + 0.5, None, 2), CONFIG, eval_labels=y
+    )[1].to_jsonl(),
+    "training.accuracy": lambda y: accuracy(*NETS, FEAT, y),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_label_entry_point_rejects_a_fractional_label(entry):
+    # A fractional label belongs to no sub-domain; truncating it would move
+    # its row into another one.
+    labels = Y.astype(float)
+    labels[0] = 0.5
+    with pytest.raises(ValueError, match="labels must be whole numbers"):
+        ENTRY_POINTS[entry](labels)
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_label_entry_point_reads_whole_floats_as_ints(entry):
+    np.testing.assert_equal(ENTRY_POINTS[entry](Y.astype(float)), ENTRY_POINTS[entry](Y))
