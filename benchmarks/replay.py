@@ -15,13 +15,18 @@ each call is timed in process CPU time with BLAS and OpenMP pinned to one
 thread. The workloads run on the ``--change`` tree.
 
 The report, printed and written as JSON, gives per workload and per size
-class (``small``: both sides under 256 atoms; ``large``: the rest): solves,
-sweeps and cells (sweeps times n times m, as perfbench counts them), the
-median, lowest and highest CPU seconds over the passes, ns per cell at the
-median, the unconverged count (diverged solves included), and how many solves
-the two trees return bit for bit alike: iterations, residual, convergence
-flag, cost and coupling, or the same divergence. Replay numbers are evidence
-for a solver change, never a test gate.
+class (``small``: both sides under 256 atoms; ``float32``: at least
+``F32_CELLS`` cells once zero-mass atoms are dropped, the solves the change
+tree's ``sinkhorn`` sweeps in float32; ``large``: the rest): solves, sweeps
+and cells (sweeps times n times m, as perfbench counts them), the median,
+lowest and highest CPU seconds over the passes, ns per cell at the median,
+the unconverged count (diverged solves included), and how many solves the
+two trees return bit for bit alike: iterations, residual, convergence flag,
+cost and coupling, or the same divergence. Over the solves that are not
+alike and return a plan on both trees, it also gives the largest cost change
+over tol times the largest cost, and each tree's largest
+``marginal_residual()`` over tol. Replay numbers are evidence for a solver
+change, never a test gate.
 """
 
 from __future__ import annotations
@@ -64,9 +69,12 @@ class Solve(NamedTuple):
     max_iter: int
     tol: float
 
-    @property
-    def small(self) -> bool:
-        return max(self.cost.shape) < SMALL_SIDE
+    def size_class(self, f32_cells: int) -> str:
+        if max(self.cost.shape) < SMALL_SIDE:
+            return "small"
+        if np.count_nonzero(self.a) * np.count_nonzero(self.b) >= f32_cells:
+            return "float32"
+        return "large"
 
 
 def parse_args(argv=None):
@@ -135,20 +143,20 @@ def solve_once(ot, solve: Solve):
     elapsed = time.process_time_ns() - start
     digest = hashlib.sha256(plan.coupling.tobytes()).hexdigest()
     return elapsed, (info.iterations, float(info.residual).hex(), info.converged,
-                     float(plan.cost).hex(), digest)
+                     float(plan.cost).hex(), digest, plan.marginal_residual())
 
 
-def replay(solves: list, trees: dict, passes: int) -> dict:
+def replay(solves: list, trees: dict, passes: int, f32_cells: int) -> dict:
     """Per tree and size class: CPU seconds of each pass, sweeps, unconverged; and matches."""
     labels = list(trees)
-    groups = {"small": [i for i, s in enumerate(solves) if s.small],
-              "large": [i for i, s in enumerate(solves) if not s.small]}
+    classes = [s.size_class(f32_cells) for s in solves]
+    groups = {g: [i for i, c in enumerate(classes) if c == g] for g in ("small", "large", "float32")}
     cpu = {label: {g: [0] * passes for g in groups} for label in labels}
     outcomes = {label: [None] * len(solves) for label in labels}
     for p in range(passes):
         gc.collect()
         for i, solve in enumerate(solves):
-            group = "small" if solve.small else "large"
+            group = classes[i]
             order = labels if (i + p) % 2 == 0 else labels[::-1]
             for label in order:
                 elapsed, outcome = solve_once(trees[label], solve)
@@ -181,6 +189,21 @@ def replay(solves: list, trees: dict, passes: int) -> dict:
             entry["ns_per_cell"][label] = round(median * 1e9 / cells, 3) if cells else 0.0
             entry["unconverged"][label] = unconverged
         entry["identical"] = sum(outcomes[labels[0]][i] == outcomes[labels[1]][i] for i in members)
+        # Solves that differ and return a plan on both trees: how far apart
+        # the costs are, and how far each plan's marginals are from (a, b).
+        differ = [i for i in members if outcomes[labels[0]][i] != outcomes[labels[1]][i]
+                  and all(outcomes[label][i][0] != "diverged" for label in labels)]
+        if differ:
+            cost_change = max(
+                abs(float.fromhex(outcomes[labels[0]][i][3]) - float.fromhex(outcomes[labels[1]][i][3]))
+                / (solves[i].tol * float(solves[i].cost.max())) for i in differ)
+            entry["differing"] = {
+                "solves": len(differ),
+                "max_cost_change_over_tol_max_c": float(f"{cost_change:.4g}"),
+                "max_marginal_residual_over_tol": {
+                    label: float(f"{max(outcomes[label][i][5] / solves[i].tol for i in differ):.4g}")
+                    for label in labels},
+            }
         report[group] = entry
     return report
 
@@ -193,22 +216,34 @@ def main(argv=None) -> int:
     trees = {args.base_label: load_ot(Path(args.base).resolve(), "replay_base"),
              args.change_label: load_ot(change_src, "replay_change")}
     results = {}
+    # The change tree's float32 threshold; a tree without one has none.
+    f32_cells = getattr(trees[args.change_label], "F32_CELLS", float("inf"))
     for name in args.workloads:
         solves = capture(name, args.seed, change_src)
-        results[name] = replay(solves, trees, args.passes)
+        results[name] = replay(solves, trees, args.passes, f32_cells)
         del solves
         for group, entry in results[name].items():
             cpu = " ".join(f"{label} {entry['cpu_s'][label]['median']:.4f} s"
                            f" ({entry['ns_per_cell'][label]:.2f} ns/cell)" for label in trees)
-            print(f"{name:14s} {group:5s} {entry['solves']:4d} solves, "
+            print(f"{name:14s} {group:7s} {entry['solves']:4d} solves, "
                   f"{entry['identical']} identical, sweeps "
                   f"{' / '.join(str(entry['sweeps'][label]) for label in trees)}: {cpu}")
+            if "differing" in entry:
+                differing = entry["differing"]
+                print(f"{'':22s} differing: max |dcost| / (tol max C) "
+                      f"{differing['max_cost_change_over_tol_max_c']}, max residual / tol "
+                      + " / ".join(str(v) for v in differing["max_marginal_residual_over_tol"].values()))
     report = {
         "about": "Captured Sinkhorn solves of the set-up and one operation round of each "
                  "perfbench workload, replayed "
                  "against two source trees, interleaved, in process CPU time with one BLAS "
                  "thread. cpu_s is over passes; ns_per_cell is the median pass over sweeps "
-                 "times n times m; identical counts solves whose outcome matches bit for bit.",
+                 "times n times m; identical counts solves whose outcome matches bit for bit; "
+                 "differing covers the other solves that return a plan on both trees: the "
+                 "largest |cost change| / (tol max C) and each tree's largest "
+                 "marginal_residual() / tol. Size classes: small, both sides under "
+                 f"{SMALL_SIDE} atoms; float32, at least F32_CELLS ({f32_cells}) cells of "
+                 "positive mass; large, the rest.",
         "command": "python3 benchmarks/replay.py --base <base src> --change <change src> "
                    f"--seed {args.seed} --passes {args.passes}",
         "trees": {"base": args.base_label, "change": args.change_label},

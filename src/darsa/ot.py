@@ -3,7 +3,8 @@
 Exact small-scale solvers, a Sinkhorn solver for entropic regularized
 transport (stabilized scaling with ε-scaling and adaptive
 over-relaxation; a stage opens with one exp pass from the carried
-potentials, and with a log-domain sweep only on underflow), Gaussian
+potentials, and with a log-domain sweep only on underflow; large solves
+sweep in float32 and finish in float64), Gaussian
 closed forms, and the mixture-level Wasserstein distance used to compare
 sub-domain decompositions.
 
@@ -40,6 +41,10 @@ EPS_FACTOR = 4  # sinkhorn's ε-scaling divides reg by this from stage to stage,
 EPS_START = 64  # starting at the smallest such reg with max(C)/reg at most this;
 STAGE_TOL = 1e-2  # an intermediate stage stops at this L1 residual
 TINY = np.finfo(float).tiny  # a kernel row or column summing below this underflowed
+F32_TINY = np.finfo(np.float32).tiny  # and a float32 one below this
+F32_CELLS = 2**16  # sinkhorn sweeps in float32 on a reduced problem of this many cells
+F32_MASS = F32_TINY * SCALING_BOUND  # while masses and rebuilt kernel sums are at least this;
+F32_FLOOR = 1e-6  # its last stage goes on in float64 from this float32 residual
 OMEGA_MAX = 1.8  # sinkhorn over-relaxes its updates by a factor of at most this;
 OMEGA_MIN = 1.05  # it sweeps plainly while the factor it estimates is below this,
 PLAIN_OPEN = 4  # takes a stage's plain rate from this sweep
@@ -276,12 +281,71 @@ def ot_exact_discrete(cost_matrix, a, b) -> TransportPlan:
 
 def _fill_kernel(kernel, cost, reg, f=None, g=None) -> None:
     """Write ``K = exp(f + -C/reg + g)`` into ``kernel`` in one exp pass;
-    without potentials, ``K = exp(-C/reg)``."""
+    without potentials, ``K = exp(-C/reg)``. The potentials are cast to the
+    kernel's dtype first, which is cheaper than a mixed-dtype add. A
+    float32 ``K`` has its subnormal entries set to zero (:func:`_flush`)."""
     np.divide(cost, -reg, out=kernel)
     if f is not None:
-        kernel += f[:, None]
-        kernel += g
+        kernel += f.astype(kernel.dtype, copy=False)[:, None]
+        kernel += g.astype(kernel.dtype, copy=False)
     np.exp(kernel, out=kernel)
+    if kernel.dtype == np.float32:
+        _flush(kernel)
+
+
+def _flush(kernel) -> None:
+    """Set the subnormal entries (below ``F32_TINY``) of a nonnegative
+    float32 ``kernel`` to zero, in blocks, so that no n×m mask is made. A
+    matrix-vector product over subnormal float32 entries runs several times
+    slower than over normal ones (a 600×600 solve at max(C)/reg 843 took
+    0.69 s against 0.03 s flushed), and a row or column made only of them
+    has lost its precision, so the underflow test should see it as zero.
+    As int32, a nonnegative float32 is subnormal exactly when it is below
+    2**23."""
+    block = 2**16
+    bits = kernel.ravel(order="K").view(np.int32)
+    normal = np.empty(min(block, bits.size), dtype=bool)
+    for lo in range(0, bits.size, block):
+        chunk = bits[lo : lo + block]
+        mask = normal[: chunk.size]
+        np.greater_equal(chunk, 1 << 23, out=mask)
+        chunk *= mask
+
+
+def _sweep_arrays(buffer, a, b, dtype):
+    """The kernel and the per-sweep vectors of a ``sinkhorn`` solve in
+    ``dtype``: K over ``buffer`` (the plan's n×m float64 array; a float32 K
+    takes the first half of its bytes, in its memory order), its transpose
+    view, the marginals, u and v in one vector (so that a test takes two
+    reductions), K v, Kᵀ u, the plan's row sums, and scratch vectors for the
+    residual and the updates."""
+    n, m = buffer.shape
+    kernel = buffer
+    if dtype is np.float32:
+        strides = [stride // 2 for stride in buffer.strides]
+        kernel = np.ndarray(buffer.shape, dtype, buffer, strides=strides)
+    scalings = np.empty(n + m, dtype)
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    return (
+        kernel, kernel.T, a, b, scalings, scalings[:n], scalings[n:],
+        *(np.empty(n, dtype) for _ in range(4)), np.empty(m, dtype), np.empty(m, dtype),
+    )
+
+
+def _widen(buffer) -> None:
+    """Widen the float32 array in the first half of ``buffer``'s bytes to
+    float64 over all of them, in place. Element k moves from byte 4k to byte
+    8k, so the blocks ``[lo, hi)`` go backwards with ``lo = ceil(hi / 2)``:
+    a block's float64 bytes start at or past the end of the float32 bytes
+    not yet read, and no temporary is made."""
+    wide = buffer.ravel(order="K")
+    narrow = wide.view(np.float32)
+    hi = wide.size
+    while hi > 1:
+        lo = (hi + 1) // 2
+        wide[lo:hi] = narrow[lo:hi]
+        hi = lo
+    wide[0] = narrow[0]
 
 
 def _next_omega(omega, rate) -> float:
@@ -362,6 +426,24 @@ def sinkhorn(
     stage's opening sweep included, and never exceeds ``max_iter``.
     ``residual`` and ``converged`` describe the final stage, at ``reg``.
 
+    Large solves sweep in float32, which halves the memory traffic of each
+    matrix-vector product. When the reduced problem has at least
+    ``F32_CELLS`` cells and every positive mass is at least ``F32_MASS``
+    (float32's tiny times ``SCALING_BOUND``, so that ``K v`` and ``Kᵀ u``
+    stay normal float32 numbers while the scalings are within their bound),
+    the kernel, the scalings, the per-sweep vectors and the marginals used
+    in the sweeps are float32; the cost, the potentials, the plan and its
+    cost stay float64. The float32 kernel sits in the first half of the
+    float64 buffer that becomes the plan, so no n×m array is added, and its
+    subnormal entries are set to zero. A float32 kernel that opens a stage
+    with a row or column underflowing, or is rebuilt at an absorption with a
+    row or column sum below ``F32_MASS``, moves the solve to float64 for
+    good, in the same buffer. The final stage's float32 sweeps stop at
+    residual ``max(tol, F32_FLOOR)``; the kernel is then widened in place
+    and float64 sweeps go on from that plan to ``tol``, so ``residual``,
+    ``converged`` and the ``100 * tol`` rule are float64 measurements of the
+    returned plan at every size. Smaller solves run in float64 throughout.
+
     Returns the coupling as a :class:`TransportPlan`; the reported cost is
     the transport cost of that coupling, excluding the entropy term. With
     ``return_info=True`` a ``(plan, SinkhornInfo)`` pair is returned.
@@ -410,33 +492,42 @@ def sinkhorn(
         stages += 1
 
     f, g = np.zeros(rows.size), np.zeros(cols.size)
-    # Every buffer is made once: K, its transpose view, u and v in one
-    # vector (so that a test takes two reductions), K v, Kᵀ u, the plan's
-    # row sums, and scratch vectors for the residual and the updates.
-    kernel = np.empty_like(cost_r)
-    kernel_t = kernel.T
-    scalings = np.empty(rows.size + cols.size)
-    u, v = scalings[: rows.size], scalings[rows.size :]
-    kv, row, diff, ratio = (np.empty(rows.size) for _ in range(4))
-    kt_u, col = np.empty(cols.size), np.empty(cols.size)
+    # The reduced plan's buffer is the solve's one array of its size. A
+    # large solve sweeps in float32 while every mass is at least F32_MASS,
+    # its kernel in the first half of the buffer, and widens the kernel in
+    # place when it moves to float64.
+    buffer = np.empty_like(cost_r)
+    single = cost_r.size >= F32_CELLS and min(a_r.min(), b_r.min()) >= F32_MASS
+    (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, ratio, kt_u, col) = _sweep_arrays(
+        buffer, a_r, b_r, np.float32 if single else float
+    )
+    one = np.float64(1.0)  # a float32 scaling's reciprocal in float64 cannot overflow
     iterations = 0
     for stage in range(stages, -1, -1):
         stage_reg = reg * EPS_FACTOR**stage
-        stage_tol = max(tol, STAGE_TOL) if stage else tol
         # The stage opens on the kernel of the carried potentials, built in
         # one exp pass (the top stage's are zero), with a sweep from
         # u = v = 1 that has no residual check before it; the loop's first
         # pass finishes that sweep.
-        if stage == stages:
-            _fill_kernel(kernel, cost_r, stage_reg)
-        else:
-            _fill_kernel(kernel, cost_r, stage_reg, f, g)
-        kernel.sum(axis=1, out=kv)
-        underflow = kv.min() < TINY
-        if not underflow:
-            np.divide(a_r, kv, out=u)
-            kernel_t.dot(u, out=kt_u)
-            underflow = kt_u.min() < TINY
+        while True:
+            if stage == stages:
+                _fill_kernel(kernel, cost_r, stage_reg)
+            else:
+                _fill_kernel(kernel, cost_r, stage_reg, f, g)
+            tiny = F32_TINY if single else TINY
+            kernel.sum(axis=1, out=kv)
+            underflow = kv.min() < tiny
+            if not underflow:
+                np.divide(a_s, kv, out=u)
+                kernel_t.dot(u, out=kt_u)
+                underflow = kt_u.min() < tiny
+            if not (underflow and single):
+                break
+            # A float32 kernel row or column underflowed: float64 from here.
+            single = False
+            (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, ratio, kt_u, col) = (
+                _sweep_arrays(buffer, a_r, b_r, float)
+            )
         if underflow:
             # A kernel row or column underflowed (atoms of tiny mass): run
             # the opening sweep on log-domain potentials instead.
@@ -446,40 +537,72 @@ def sinkhorn(
             _fill_kernel(kernel, cost_r, stage_reg, f, g)
             u.fill(1.0)
             kernel.sum(axis=0, out=kt_u)
+        stage_tol = max(tol, STAGE_TOL) if stage else tol
         converged = False
         # Over-relaxation: each stage starts plain, and the factor is set
         # from the residual's rate over windows of sweeps (_next_omega).
-        omega, relaxed = 1.0, False  # relaxed: the last v-update was relaxed
+        omega, relaxed = 1.0, False  # relaxed: v-updates relaxed, columns not exact
         probe, ref, window = iterations + PLAIN_OPEN, None, 0
         while True:
             if relaxed:
                 np.multiply(v, kt_u, out=col)
-                np.divide(b_r, col, out=col)
+                np.divide(b_s, col, out=col)
                 v *= np.power(col, omega, out=col)
             else:
-                np.divide(b_r, kt_u, out=v)
+                np.divide(b_s, kt_u, out=v)
             iterations += 1
-            if max(scalings.max(), 1.0 / scalings.min()) > SCALING_BOUND:
+            if max(scalings.max(), one / scalings.min()) > SCALING_BOUND:
                 f += np.log(u)
                 g += np.log(v)
                 _fill_kernel(kernel, cost_r, stage_reg, f, g)
                 kt_u *= v  # v Kᵀu stays the plan's column sums
                 scalings.fill(1.0)
+                # The rebuilt kernel is the plan, whose row and column sums
+                # approach the masses. A float32 one with a sum below
+                # F32_MASS may underflow K v or Kᵀ u before the next
+                # absorption: float64 from here, in the same buffer. Its
+                # columns carry float32 rounding, so they are counted.
+                if single and min(
+                    kernel.sum(axis=1, out=kv).min(), kernel.sum(axis=0, out=col).min()
+                ) < F32_MASS:
+                    single, relaxed = False, True
+                    (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, ratio, kt_u,
+                     col) = _sweep_arrays(buffer, a_r, b_r, float)
+                    _fill_kernel(kernel, cost_r, stage_reg, f, g)
+                    kernel.sum(axis=0, out=kt_u)
+                    scalings.fill(1.0)
             # Leave one sweep for the opening of each stage still to come.
             if iterations >= max_iter - stage:
                 break
-            kernel.dot(v, out=kv)
-            np.multiply(u, kv, out=row)
-            # The L1 violation of the current plan. Its columns are exact
-            # after a plain v-update, and counted only once the rows are
-            # within tol after a relaxed one.
-            np.subtract(row, a_r, out=diff)
-            residual = float(np.abs(diff, out=diff).sum())
-            if residual <= stage_tol and relaxed:
-                np.multiply(v, kt_u, out=col)
-                np.subtract(col, b_r, out=col)
-                residual += float(np.abs(col, out=col).sum())
-            if residual <= stage_tol:
+            while True:
+                kernel.dot(v, out=kv)
+                np.multiply(u, kv, out=row)
+                # The L1 violation of the current plan. Its columns are exact
+                # after a plain v-update, and counted only once the rows are
+                # within tol after a relaxed one. A float32 residual stops at
+                # the floor of its own noise.
+                stop = max(stage_tol, F32_FLOOR) if single else stage_tol
+                np.subtract(row, a_s, out=diff)
+                residual = float(np.abs(diff, out=diff).sum())
+                if residual <= stop and relaxed:
+                    np.multiply(v, kt_u, out=col)
+                    np.subtract(col, b_s, out=col)
+                    residual += float(np.abs(col, out=col).sum())
+                if residual > stop or stage or not single:
+                    break
+                # The last stage's float32 residual reached its floor: widen
+                # the kernel and measure the same plan in float64, columns
+                # included (a float32 v-update made them exact in float32
+                # only); float64 sweeps go on from it to tol.
+                _widen(buffer)
+                carried = scalings
+                (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, ratio, kt_u, col) = (
+                    _sweep_arrays(buffer, a_r, b_r, float)
+                )
+                scalings[:] = carried
+                kernel_t.dot(u, out=kt_u)
+                single, relaxed = False, True
+            if residual <= stop:
                 converged = True
                 break
             if iterations == probe:
@@ -494,9 +617,9 @@ def sinkhorn(
                     ref, window = None, PLAIN_OPEN
                 probe = iterations + window
             if omega == 1.0:
-                np.divide(a_r, kv, out=u)
+                np.divide(a_s, kv, out=u)
             else:
-                np.divide(a_r, row, out=ratio)
+                np.divide(a_s, row, out=ratio)
                 u *= np.power(ratio, omega, out=ratio)
             kernel_t.dot(u, out=kt_u)
             relaxed = omega != 1.0
@@ -505,12 +628,14 @@ def sinkhorn(
             f = (f + np.log(u)) * EPS_FACTOR
             g = (g + np.log(v)) * EPS_FACTOR
 
-    kernel *= u[:, None]
-    kernel *= v
-    coupling = kernel
+    if single:
+        _widen(buffer)  # max_iter ran out in float32 sweeps
+    coupling = buffer
+    coupling *= u[:, None]
+    coupling *= v
     if not full:
         coupling = np.zeros((n, m))
-        coupling[np.ix_(rows, cols)] = kernel
+        coupling[np.ix_(rows, cols)] = buffer
     plan = TransportPlan(
         coupling=coupling,
         row_marginal=a,
@@ -519,7 +644,7 @@ def sinkhorn(
     )
     if not converged:
         residual = plan.marginal_residual()
-        if residual > 100 * tol:
+        if not residual <= 100 * tol:  # NaN included
             raise SinkhornDivergenceError(residual, iterations)
     if return_info:
         return plan, SinkhornInfo(iterations, residual, converged)

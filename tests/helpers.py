@@ -1,8 +1,12 @@
 """Shared test oracles: finite differences and brute-force transport."""
 
+import functools
 from itertools import combinations
 
 import numpy as np
+import pytest
+
+from darsa import ot
 
 
 def fd_gradient(func, x, h=1e-5):
@@ -62,3 +66,18 @@ def bruteforce_ot_cost(cost, a, b):
             continue
         best = min(best, float(cost.ravel() @ full))
     return best
+
+
+def in_float32(test):
+    """A copy of ``test`` that runs with the Sinkhorn solver's float32 cell
+    threshold at 1, so that every solve whose masses are normal float32
+    numbers sweeps in float32. Parametrizations and hypothesis draws carry
+    over."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ot, "F32_CELLS", 1)
+            test(*args, **kwargs)
+
+    return run
