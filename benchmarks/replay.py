@@ -25,8 +25,15 @@ two trees return bit for bit alike: iterations, residual, convergence flag,
 cost and coupling, or the same divergence. Over the solves that are not
 alike and return a plan on both trees, it also gives the largest cost change
 over tol times the largest cost, and each tree's largest
-``marginal_residual()`` over tol. Replay numbers are evidence for a solver
-change, never a test gate.
+``marginal_residual()`` over tol. For the float32 class it also counts how
+the change tree's solves leave float32, from one more untimed run of each
+with ``ot._sweep_arrays`` and ``ot._widen`` wrapped: ``early``, a move to
+float64 with no widen before it (an opening that underflows, or an
+absorption); ``floor``, the last stage's floor hand-over (a widen, then
+float64 sweeps); ``budget``, the widen at the end of a solve whose
+``max_iter`` ran out in float32; ``float64``, a solve that never sweeps in
+float32 (a mass below ``F32_MASS``). Replay numbers are evidence for a
+solver change, never a test gate.
 """
 
 from __future__ import annotations
@@ -208,6 +215,43 @@ def replay(solves: list, trees: dict, passes: int, f32_cells: int) -> dict:
     return report
 
 
+def float32_exits(ot, solves: list) -> dict:
+    """How each solve leaves float32 in ``ot.sinkhorn``: counts of ``early``,
+    ``floor``, ``budget`` and ``float64`` (see the module docstring)."""
+    counts = dict.fromkeys(("early", "floor", "budget", "float64"), 0)
+    events = []
+    sweep_arrays, widen = ot._sweep_arrays, ot._widen
+
+    def arrays(*args):
+        events.append(np.dtype(args[3]).name)
+        return sweep_arrays(*args)
+
+    def widening(buffer):
+        events.append("widen")
+        return widen(buffer)
+
+    ot._sweep_arrays, ot._widen = arrays, widening
+    try:
+        for solve in solves:
+            events.clear()
+            try:
+                ot.sinkhorn(solve.cost, solve.a, solve.b, solve.reg,
+                            max_iter=solve.max_iter, tol=solve.tol)
+            except ot.SinkhornDivergenceError:
+                pass
+            if events[0] != "float32":
+                counts["float64"] += 1
+                continue
+            moved = events.index("float64") if "float64" in events else len(events)
+            if "widen" not in events[:moved]:
+                counts["early"] += 1
+            else:
+                counts["floor" if moved < len(events) else "budget"] += 1
+    finally:
+        ot._sweep_arrays, ot._widen = sweep_arrays, widen
+    return counts
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.base_label == args.change_label:
@@ -221,6 +265,9 @@ def main(argv=None) -> int:
     for name in args.workloads:
         solves = capture(name, args.seed, change_src)
         results[name] = replay(solves, trees, args.passes, f32_cells)
+        if "float32" in results[name]:
+            results[name]["float32"]["exits"] = float32_exits(
+                trees[args.change_label], [s for s in solves if s.size_class(f32_cells) == "float32"])
         del solves
         for group, entry in results[name].items():
             cpu = " ".join(f"{label} {entry['cpu_s'][label]['median']:.4f} s"
@@ -233,6 +280,9 @@ def main(argv=None) -> int:
                 print(f"{'':22s} differing: max |dcost| / (tol max C) "
                       f"{differing['max_cost_change_over_tol_max_c']}, max residual / tol "
                       + " / ".join(str(v) for v in differing["max_marginal_residual_over_tol"].values()))
+            if "exits" in entry:
+                print(f"{'':22s} {args.change_label} leaves float32: "
+                      + ", ".join(f"{how} {count}" for how, count in entry["exits"].items()))
     report = {
         "about": "Captured Sinkhorn solves of the set-up and one operation round of each "
                  "perfbench workload, replayed "
@@ -243,7 +293,11 @@ def main(argv=None) -> int:
                  "largest |cost change| / (tol max C) and each tree's largest "
                  "marginal_residual() / tol. Size classes: small, both sides under "
                  f"{SMALL_SIDE} atoms; float32, at least F32_CELLS ({f32_cells}) cells of "
-                 "positive mass; large, the rest.",
+                 "positive mass; large, the rest. exits counts how the change tree's "
+                 "float32-class solves leave float32: early, a move to float64 with no "
+                 "widen before it (an underflowing opening or an absorption); floor, the "
+                 "last stage's floor hand-over; budget, the widen at the end of a solve "
+                 "whose max_iter ran out in float32; float64, never in float32.",
         "command": "python3 benchmarks/replay.py --base <base src> --change <change src> "
                    f"--seed {args.seed} --passes {args.passes}",
         "trees": {"base": args.base_label, "change": args.change_label},

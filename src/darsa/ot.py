@@ -4,9 +4,10 @@ Exact small-scale solvers, a Sinkhorn solver for entropic regularized
 transport (stabilized scaling with ε-scaling and adaptive
 over-relaxation; a stage opens with one exp pass from the carried
 potentials, and with a log-domain sweep only on underflow; large solves
-sweep in float32 and finish in float64), Gaussian
-closed forms, and the mixture-level Wasserstein distance used to compare
-sub-domain decompositions.
+sweep in float32 on a kernel built only at a stage opening and finish in
+float64, so every absorption and log-domain opening runs in float64),
+Gaussian closed forms, and the mixture-level Wasserstein distance used to
+compare sub-domain decompositions.
 
 Conventions
 -----------
@@ -43,7 +44,7 @@ STAGE_TOL = 1e-2  # an intermediate stage stops at this L1 residual
 TINY = np.finfo(float).tiny  # a kernel row or column summing below this underflowed
 F32_TINY = np.finfo(np.float32).tiny  # and a float32 one below this
 F32_CELLS = 2**16  # sinkhorn sweeps in float32 on a reduced problem of this many cells
-F32_MASS = F32_TINY * SCALING_BOUND  # while masses and rebuilt kernel sums are at least this;
+F32_MASS = F32_TINY * SCALING_BOUND  # while every mass is at least this;
 F32_FLOOR = 1e-6  # its last stage goes on in float64 from this float32 residual
 OMEGA_MAX = 1.8  # sinkhorn over-relaxes its updates by a factor of at most this;
 OMEGA_MIN = 1.05  # it sweeps plainly while the factor it estimates is below this,
@@ -312,23 +313,25 @@ def _flush(kernel) -> None:
         chunk *= mask
 
 
-def _sweep_arrays(buffer, a, b, dtype):
+def _sweep_arrays(buffer, a, b, dtype, scalings=None, kt_u=None):
     """The kernel and the per-sweep vectors of a ``sinkhorn`` solve in
     ``dtype``: K over ``buffer`` (the plan's n×m float64 array; a float32 K
     takes the first half of its bytes, in its memory order), its transpose
     view, the marginals, u and v in one vector (so that a test takes two
     reductions), K v, Kᵀ u, the plan's row sums, and scratch vectors for the
-    residual and the updates."""
+    residual and the updates. A float32 solve moves to float64 by carrying
+    ``scalings`` (u and v) and, at an absorption, ``kt_u`` over."""
     n, m = buffer.shape
     kernel = buffer
     if dtype is np.float32:
         strides = [stride // 2 for stride in buffer.strides]
         kernel = np.ndarray(buffer.shape, dtype, buffer, strides=strides)
-    scalings = np.empty(n + m, dtype)
+    scalings = np.empty(n + m, dtype) if scalings is None else scalings.astype(dtype)
+    kt_u = np.empty(m, dtype) if kt_u is None else kt_u.astype(dtype)
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     return (
         kernel, kernel.T, a, b, scalings, scalings[:n], scalings[n:],
-        *(np.empty(n, dtype) for _ in range(4)), np.empty(m, dtype), np.empty(m, dtype),
+        *(np.empty(n, dtype) for _ in range(3)), kt_u, np.empty(m, dtype),
     )
 
 
@@ -435,14 +438,16 @@ def sinkhorn(
     in the sweeps are float32; the cost, the potentials, the plan and its
     cost stay float64. The float32 kernel sits in the first half of the
     float64 buffer that becomes the plan, so no n×m array is added, and its
-    subnormal entries are set to zero. A float32 kernel that opens a stage
-    with a row or column underflowing, or is rebuilt at an absorption with a
-    row or column sum below ``F32_MASS``, moves the solve to float64 for
-    good, in the same buffer. The final stage's float32 sweeps stop at
-    residual ``max(tol, F32_FLOOR)``; the kernel is then widened in place
-    and float64 sweeps go on from that plan to ``tol``, so ``residual``,
-    ``converged`` and the ``100 * tol`` rule are float64 measurements of the
-    returned plan at every size. Smaller solves run in float64 throughout.
+    subnormal entries are set to zero. A float32 kernel is built only at a
+    stage opening, and float32 sweeps only scale: an opening whose float32
+    kernel has a row or column underflowing runs its log-domain sweep in
+    float64, and an absorption moves the solve to float64 (carrying u, v
+    and Kᵀ u) before it absorbs, both for good and in the same buffer. The
+    final stage's float32 sweeps stop at residual ``max(tol, F32_FLOOR)``;
+    the kernel is then widened in place and float64 sweeps go on from that
+    plan to ``tol``, so ``residual``, ``converged`` and the ``100 * tol``
+    rule are float64 measurements of the returned plan at every size.
+    Smaller solves run in float64 throughout.
 
     Returns the coupling as a :class:`TransportPlan`; the reported cost is
     the transport cost of that coupling, excluding the entropy term. With
@@ -493,12 +498,13 @@ def sinkhorn(
 
     f, g = np.zeros(rows.size), np.zeros(cols.size)
     # The reduced plan's buffer is the solve's one array of its size. A
-    # large solve sweeps in float32 while every mass is at least F32_MASS,
-    # its kernel in the first half of the buffer, and widens the kernel in
-    # place when it moves to float64.
+    # large solve whose masses are all at least F32_MASS sweeps in float32,
+    # its kernel in the first half of the buffer, and moves to float64 in
+    # the same buffer: at an opening that underflows, at an absorption, or
+    # at the floor hand-over, where it widens the kernel in place.
     buffer = np.empty_like(cost_r)
     single = cost_r.size >= F32_CELLS and min(a_r.min(), b_r.min()) >= F32_MASS
-    (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, ratio, kt_u, col) = _sweep_arrays(
+    (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, kt_u, col) = _sweep_arrays(
         buffer, a_r, b_r, np.float32 if single else float
     )
     one = np.float64(1.0)  # a float32 scaling's reciprocal in float64 cannot overflow
@@ -509,28 +515,26 @@ def sinkhorn(
         # one exp pass (the top stage's are zero), with a sweep from
         # u = v = 1 that has no residual check before it; the loop's first
         # pass finishes that sweep.
-        while True:
-            if stage == stages:
-                _fill_kernel(kernel, cost_r, stage_reg)
-            else:
-                _fill_kernel(kernel, cost_r, stage_reg, f, g)
-            tiny = F32_TINY if single else TINY
-            kernel.sum(axis=1, out=kv)
-            underflow = kv.min() < tiny
-            if not underflow:
-                np.divide(a_s, kv, out=u)
-                kernel_t.dot(u, out=kt_u)
-                underflow = kt_u.min() < tiny
-            if not (underflow and single):
-                break
-            # A float32 kernel row or column underflowed: float64 from here.
-            single = False
-            (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, ratio, kt_u, col) = (
-                _sweep_arrays(buffer, a_r, b_r, float)
-            )
+        if stage == stages:
+            _fill_kernel(kernel, cost_r, stage_reg)
+        else:
+            _fill_kernel(kernel, cost_r, stage_reg, f, g)
+        tiny = F32_TINY if single else TINY
+        kernel.sum(axis=1, out=kv)
+        underflow = kv.min() < tiny
+        if not underflow:
+            np.divide(a_s, kv, out=u)
+            kernel_t.dot(u, out=kt_u)
+            underflow = kt_u.min() < tiny
         if underflow:
-            # A kernel row or column underflowed (atoms of tiny mass): run
-            # the opening sweep on log-domain potentials instead.
+            # A kernel row or column underflowed (atoms of tiny mass, or a
+            # float32 exponent past its range): run the opening sweep on
+            # log-domain potentials instead, in float64 from here.
+            if single:
+                single = False
+                (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, kt_u, col) = (
+                    _sweep_arrays(buffer, a_r, b_r, float)
+                )
             scaled = cost_r / -stage_reg
             f = np.log(a_r) - logsumexp(scaled + g, axis=1)
             g = np.log(b_r) - logsumexp(scaled + f[:, None], axis=0)
@@ -552,25 +556,19 @@ def sinkhorn(
                 np.divide(b_s, kt_u, out=v)
             iterations += 1
             if max(scalings.max(), one / scalings.min()) > SCALING_BOUND:
+                if single:
+                    # A float32 kernel is never rebuilt (its rows could flush
+                    # to zero): float64 from here. The carried Kᵀu has float32
+                    # rounding, so the next test counts the columns.
+                    single, relaxed = False, True
+                    (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, kt_u, col) = (
+                        _sweep_arrays(buffer, a_r, b_r, float, scalings, kt_u)
+                    )
                 f += np.log(u)
                 g += np.log(v)
                 _fill_kernel(kernel, cost_r, stage_reg, f, g)
                 kt_u *= v  # v Kᵀu stays the plan's column sums
                 scalings.fill(1.0)
-                # The rebuilt kernel is the plan, whose row and column sums
-                # approach the masses. A float32 one with a sum below
-                # F32_MASS may underflow K v or Kᵀ u before the next
-                # absorption: float64 from here, in the same buffer. Its
-                # columns carry float32 rounding, so they are counted.
-                if single and min(
-                    kernel.sum(axis=1, out=kv).min(), kernel.sum(axis=0, out=col).min()
-                ) < F32_MASS:
-                    single, relaxed = False, True
-                    (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, ratio, kt_u,
-                     col) = _sweep_arrays(buffer, a_r, b_r, float)
-                    _fill_kernel(kernel, cost_r, stage_reg, f, g)
-                    kernel.sum(axis=0, out=kt_u)
-                    scalings.fill(1.0)
             # Leave one sweep for the opening of each stage still to come.
             if iterations >= max_iter - stage:
                 break
@@ -595,11 +593,9 @@ def sinkhorn(
                 # included (a float32 v-update made them exact in float32
                 # only); float64 sweeps go on from it to tol.
                 _widen(buffer)
-                carried = scalings
-                (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, ratio, kt_u, col) = (
-                    _sweep_arrays(buffer, a_r, b_r, float)
+                (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, kt_u, col) = (
+                    _sweep_arrays(buffer, a_r, b_r, float, scalings)
                 )
-                scalings[:] = carried
                 kernel_t.dot(u, out=kt_u)
                 single, relaxed = False, True
             if residual <= stop:
@@ -619,8 +615,8 @@ def sinkhorn(
             if omega == 1.0:
                 np.divide(a_s, kv, out=u)
             else:
-                np.divide(a_s, row, out=ratio)
-                u *= np.power(ratio, omega, out=ratio)
+                np.divide(a_s, row, out=diff)
+                u *= np.power(diff, omega, out=diff)
             kernel_t.dot(u, out=kt_u)
             relaxed = omega != 1.0
         if stage:

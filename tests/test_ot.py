@@ -588,10 +588,12 @@ def test_sinkhorn_solves_keep_their_contracts(
 
 
 # The same contracts with every solve sweeping in float32 that its masses
-# allow: a mass of 1e-17 can make a warm stage opening thin in float32
-# (float64 takes over in the plan's buffer), masses below F32_MASS (1e-20 and
-# down, 1e-32 and 1e-37 among them) keep the solve in float64, and tols down
-# to 1e-9 need the float64 finish below the float32 floor.
+# allow: a mass of 1e-17 can make a warm stage opening thin in float32 (its
+# log-domain opening runs in float64, in the plan's buffer), an absorption
+# moves the solve to float64 before it rebuilds the kernel, masses below
+# F32_MASS (1e-20 and down, 1e-32 and 1e-37 among them) keep the solve in
+# float64, and tols down to 1e-9 need the float64 finish below the float32
+# floor.
 test_sinkhorn_float32_solves_keep_their_contracts = in_float32(
     test_sinkhorn_solves_keep_their_contracts
 )
@@ -633,11 +635,11 @@ def test_sinkhorn_sweeps_in_float32_from_masses_of_f32_mass(monkeypatch, scale, 
     assert dtypes[0] == dtype and info.converged
 
 
-def test_sinkhorn_thin_float32_refill_moves_to_float64(monkeypatch):
-    # With F32_MASS raised to 1e-3 and SCALING_BOUND lowered to 1e3, a row of
-    # mass 1.5e-3 keeps this one-stage solve in float32 at its opening, and
-    # an absorption rebuilds a float32 kernel with a row or column sum below
-    # F32_MASS; the solve moves to float64 there and keeps its contracts.
+def test_sinkhorn_float32_absorption_moves_to_float64(monkeypatch):
+    # With SCALING_BOUND lowered to 1e3, a row of mass 1.5e-3 makes this
+    # one-stage float32 solve absorb. A float32 kernel is built only at the
+    # opening: the absorption moves the solve to float64 first, carrying
+    # u, v and Kᵀu, rebuilds the kernel there, and keeps its contracts.
     rng = np.random.default_rng(1442)
     n, m = rng.integers(2, 30, size=2)
     cost = euclidean_cost_matrix(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)) + rng.normal())
@@ -647,7 +649,6 @@ def test_sinkhorn_thin_float32_refill_moves_to_float64(monkeypatch):
     a[0] += a[-1] - tiny
     a[-1] = tiny
     reg = float(cost.max()) / 10.0 ** rng.uniform(0, 4)
-    monkeypatch.setattr(ot, "F32_MASS", 1e-3)
     monkeypatch.setattr(ot, "SCALING_BOUND", 1e3)
     wide = sinkhorn(cost, a, b, reg, max_iter=3000, tol=1e-8)
     monkeypatch.setattr(ot, "F32_CELLS", 1)
@@ -658,18 +659,32 @@ def test_sinkhorn_thin_float32_refill_moves_to_float64(monkeypatch):
 
     for name, event in [
         ("_fill_kernel", lambda kernel, *rest: ("fill", kernel.dtype, len(rest))),
-        ("_sweep_arrays", lambda *args: ("arrays", args[-1])),
-        ("_widen", lambda buffer: ("widen",)),
+        ("_sweep_arrays", lambda buffer, a, b, dtype, *carried: ("arrays", dtype)),
     ]:
         monkeypatch.setattr(ot, name, recorded(getattr(ot, name), event))
     plan, info = sinkhorn(cost, a, b, reg, max_iter=3000, tol=1e-8, return_info=True)
-    assert float(cost.max()) / reg <= ot.EPS_START  # one stage: f and g given only on refills
+    assert float(cost.max()) / reg <= ot.EPS_START  # one stage: f and g given only on absorptions
     assert events[:2] == [("arrays", np.float32), ("fill", np.float32, 2)]
-    switch = events.index(("arrays", float))
-    assert events[switch - 1] == ("fill", np.float32, 4)
+    assert [e for e in events if e[0] == "fill" and e[1] == np.float32] == [events[1]]
+    absorbed = events.index(("fill", np.float64, 4))
+    assert ("arrays", float) in events[2:absorbed]
     assert info.converged and info.residual <= 1e-8
     assert plan.marginal_residual() <= 1e-8 + 1e-12
     assert plan.cost == pytest.approx(wide.cost, rel=1e-6)
+
+
+@pytest.mark.parametrize("reg", [1 / 100, 1 / 500, 1 / 700])
+def test_sinkhorn_float32_opening_underflow_opens_in_log_domain(monkeypatch, reg):
+    # exp(-1/reg) is below float32's tiny (and flushed to zero) but a normal
+    # float64 number: the underflowing float32 opening goes straight to the
+    # log-domain opening in float64, with no float64 exp pass tried first.
+    monkeypatch.setattr(ot, "F32_CELLS", 1)
+    calls = []
+    lse = ot.logsumexp
+    monkeypatch.setattr(ot, "logsumexp", lambda *args, **kw: calls.append(1) or lse(*args, **kw))
+    plan = sinkhorn(np.array([[1.0]]), [1.0], [1.0], reg, max_iter=1)
+    assert len(calls) == 2
+    assert plan.cost == 1.0
 
 
 def test_sinkhorn_does_not_return_a_nan_plan(monkeypatch):
