@@ -5,11 +5,12 @@ bounds: an overall one (source risk plus the W1 distance between the
 pooled domains) and a sub-domain one (target-reweighted per-class source
 risks plus the target-reweighted sum of paired per-class W1 distances,
 within an additive slack ``delta_c`` driven by the per-class feature
-variance). This module estimates the computable parts of both bounds and
-packages them as a comparator report. The ideal joint risks appearing in
-the full bounds are infima over a hypothesis class and have no estimator;
-they are deliberately absent from the report, which therefore compares
-partial bounds only.
+variance). This module estimates the computable parts of both bounds:
+``discrepancy_terms`` gives the three discrepancy terms to ``bound_report``
+(which adds the risk terms in a comparator report) and to ``darsa figure1``.
+The ideal joint risks of the full bounds are infima over a hypothesis class
+and have no estimator; they are deliberately absent from the report, which
+therefore compares partial bounds only.
 """
 
 from __future__ import annotations
@@ -156,6 +157,22 @@ def split_by_class(features: np.ndarray, labels: np.ndarray, k: int) -> list:
     return [features[rows] for rows in class_rows(labels, k, features.shape[0])]
 
 
+def discrepancy_terms(
+    source_features, source_labels, target_features, target_labels, w_t: ClassWeights, **solver
+) -> tuple:
+    """``(pooled, weighted, slack)``: pooled W1, ``w_t``-weighted paired per-class W1
+    (an ``ot.WeightedSubdomainW1``) and ``delta_c``; every solve gets ``solver``."""
+    source_features = np.atleast_2d(np.asarray(source_features, dtype=float))
+    target_features = np.atleast_2d(np.asarray(target_features, dtype=float))
+    if source_features.shape[1] != target_features.shape[1]:
+        raise ValueError("feature spaces differ in dimension")
+    pooled = ot.w1_empirical(source_features, target_features, **solver)
+    source_parts = split_by_class(source_features, source_labels, w_t.k)
+    target_parts = split_by_class(target_features, target_labels, w_t.k)
+    weighted = ot.weighted_subdomain_w1(source_parts, target_parts, w_t, **solver)
+    return pooled, weighted, delta_c(source_parts + target_parts)
+
+
 def bound_report(
     source_features,
     source_preds,
@@ -174,29 +191,14 @@ def bound_report(
     supplied pseudo-labels; ``w_t`` weights both the per-class risks and
     the paired per-class discrepancies.
     """
-    k = w_t.k
-    source_features = np.atleast_2d(np.asarray(source_features, dtype=float))
-    target_features = np.atleast_2d(np.asarray(target_features, dtype=float))
-    if source_features.shape[1] != target_features.shape[1]:
-        raise ValueError("feature spaces differ in dimension")
-
     gamma = source_risk(source_preds, source_labels)
-    partition = SubdomainPartition(source_labels, k)
+    partition = SubdomainPartition(source_labels, w_t.k)
     per_class = subdomain_risks(source_preds, source_labels, partition).risks
     gamma_weighted = float(w_t.w @ per_class)
-
-    disc_overall = ot.w1_empirical(
-        source_features, target_features, reg=reg, max_iter=max_iter, tol=tol,
-        reg_mode=reg_mode,
+    disc_overall, weighted, slack = discrepancy_terms(
+        source_features, source_labels, target_features, target_pseudo_labels, w_t,
+        reg=reg, max_iter=max_iter, tol=tol, reg_mode=reg_mode,
     )
-    source_parts = split_by_class(source_features, source_labels, k)
-    target_parts = split_by_class(target_features, target_pseudo_labels, k)
-    weighted = ot.weighted_subdomain_w1(
-        source_parts, target_parts, w_t, reg=reg, max_iter=max_iter, tol=tol,
-        reg_mode=reg_mode,
-    )
-    slack = delta_c(source_parts + target_parts)
-
     return BoundReport(
         gamma_s=gamma,
         gamma_s_weighted=gamma_weighted,

@@ -185,7 +185,8 @@ def _task_datasets(task: dict, seed: int):
     if missing:
         raise ValueError(f"{name} task is missing {', '.join(map(repr, missing))}")
     if name == "csv":
-        return _load_dataset(task["source"], need_labels=True), _load_dataset(task["target"])
+        source, target = _load_dataset(task["source"], need_labels=True), _load_dataset(task["target"])
+        return source, Dataset(target.features, target.labels, source.k)
     params = {
         key: ClassWeights(np.asarray(task[key], dtype=float)) if kind == "tuple" else task[key]
         for key, kind in _TASKS[name].items()
@@ -243,18 +244,13 @@ def cmd_figure1(args) -> int:
     """Per-cluster diagnostic for the two-cluster task: paired W1 per
     cluster, pooled W1, the reweighted sum, and the variance slack."""
     source, target = make_figure1_task(args.sigma, args.n, args.seed)
-    parts_s = bounds.split_by_class(source.features, source.labels, 2)
-    parts_t = bounds.split_by_class(target.features, target.labels, 2)
     w_t = target.class_proportions()
-    weighted = ot.weighted_subdomain_w1(
-        parts_s, parts_t, w_t, reg=args.reg, max_iter=args.max_iter, tol=args.tol
+    overall, weighted, slack = bounds.discrepancy_terms(
+        source.features, source.labels, target.features, target.labels, w_t,
+        reg=args.reg, max_iter=args.max_iter, tol=args.tol,
     )
     if weighted.skipped:
         raise ValueError(f"cluster {weighted.skipped[0]} is empty in one domain")
-    overall = ot.w1_empirical(
-        source.features, target.features, reg=args.reg, max_iter=args.max_iter, tol=args.tol
-    )
-    slack = bounds.delta_c(parts_s + parts_t)
     holds = bool(weighted.value <= overall + slack)
     out = _out_dir(args.out)
     with (out / "figure1.csv").open("w", newline="") as fh:

@@ -878,9 +878,7 @@ def weighted_subdomain_w1(
     skipped = []
     per_class = [0.0] * w_t.k
     for k, (xs, xt) in enumerate(zip(source_parts, target_parts)):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        xt = np.atleast_2d(np.asarray(xt, dtype=float))
-        if xs.size == 0 or xt.size == 0:
+        if np.size(xs) == 0 or np.size(xt) == 0:
             skipped.append(k)
             continue
         per_class[k] = w1_empirical(

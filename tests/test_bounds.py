@@ -11,6 +11,7 @@ from darsa.bounds import (
     bound_report,
     check_decomposition,
     delta_c,
+    discrepancy_terms,
     source_risk,
     split_by_class,
     subdomain_risks,
@@ -227,6 +228,19 @@ def test_bound_report_serialization_field_names():
             gamma_s=0.1, gamma_s_weighted=0.2, disc_overall=1.0, disc_weighted=0.5,
             delta_c=0.3, eps_g_partial=2.0, eps_c_partial=0.7, skipped_subdomains=0,
         )
+
+
+@pytest.mark.parametrize("with_risks", [False, True], ids=["discrepancy_terms", "bound_report"])
+def test_feature_dimension_mismatch_raises(with_risks):
+    rng = np.random.default_rng(6)
+    labels = np.arange(10) % 2
+    feat_s, feat_t = rng.normal(size=(10, 2)), rng.normal(size=(10, 3))
+    w_t = ClassWeights.uniform(2)
+    with pytest.raises(ValueError, match="feature spaces differ in dimension"):
+        if with_risks:
+            bound_report(feat_s, labels, labels, feat_t, labels, w_t)
+        else:
+            discrepancy_terms(feat_s, labels, feat_t, labels, w_t)
 
 
 def test_split_by_class():

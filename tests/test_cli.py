@@ -10,6 +10,7 @@ import pytest
 from referencing import Registry, Resource
 
 import darsa
+from darsa.bounds import bound_report
 from darsa.cli import _TASKS, _task_datasets, main
 from darsa.synthdata import Dataset, make_figure1_task, make_shifted_gmm
 from darsa.training import DarsaConfig, DarsaModels, default_networks
@@ -468,6 +469,43 @@ def test_train_task_flag_overrides_config(tmp_path, capsys):
     assert checkpoint["encoder_s"]["layers"][0]["shape"][1] == 1
 
 
+@pytest.fixture
+def gmm_csv_task(tmp_path):
+    """A csv task on the files of ``darsa gen --task gmm`` (3 classes), and its target."""
+    data = tmp_path / "data"
+    assert main(["gen", "--task", "gmm", "--n", "90", "--seed", "3", "--out", str(data)]) == 0
+    task = {"name": "csv", "source": str(data / "source.csv"), "target": str(data / "target.csv")}
+    return task, Dataset.from_csv(data / "target.csv")
+
+
+@pytest.mark.parametrize("unlabeled", [True, False], ids=["unlabeled", "without-class-2"])
+def test_train_csv_target_with_fewer_classes(tmp_path, capsys, gmm_csv_task, unlabeled):
+    # An unlabeled target is the adaptation setting itself; a target that
+    # misses a class keeps the source's K. Neither file's own K is used.
+    task, target = gmm_csv_task
+    if unlabeled:
+        Dataset(target.features, None, 1).to_csv(task["target"])
+    else:
+        keep = target.labels < 2
+        Dataset(target.features[keep], target.labels[keep], 2).to_csv(task["target"])
+    assert main(["train", "--config", str(_train_config(tmp_path, task=task))]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    validate(summary, "summary.schema.json")
+    assert (summary["target_accuracy"] is None) == unlabeled
+    for line in (tmp_path / "run" / "metrics.jsonl").read_text().splitlines():
+        validate(json.loads(line), "metrics_record.schema.json")
+
+
+def test_train_csv_target_label_outside_source_classes(tmp_path, capsys, gmm_csv_task):
+    task, target = gmm_csv_task
+    labels = target.labels.copy()
+    labels[0] = 3
+    Dataset(target.features, labels, 4).to_csv(task["target"])
+    assert main(["train", "--config", str(_train_config(tmp_path, task=task))]) == 2
+    assert "label outside 0..2" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # figure1
 # ---------------------------------------------------------------------------
@@ -487,6 +525,22 @@ def test_figure1_outputs(tmp_path, capsys):
     lines = (out_dir / "figure1.csv").read_text().splitlines()
     assert lines[0] == "cluster,w_t,w1_paired,w1_overall,delta_c,bound_holds"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_figure1_terms_equal_bound_report(tmp_path, capsys, seed):
+    # figure1 and the bound report take their terms from one function, so
+    # on the same datasets and solver settings every term is the same float.
+    assert main(["figure1", "--n", "300", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    source, target = make_figure1_task(0.05, 300, seed)
+    report = bound_report(
+        source.features, source.labels, source.labels,
+        target.features, target.labels, target.class_proportions(),
+    )
+    assert summary["w1_overall"] == report.disc_overall
+    assert summary["weighted_sum"] == report.disc_weighted
+    assert summary["delta_c"] == report.delta_c
 
 
 def test_figure1_sigma_guard(capsys):

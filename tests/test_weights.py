@@ -30,7 +30,7 @@ from darsa.weights import ClassWeights, as_labels, class_rows
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.integers(-(2**53), 2**53), max_size=20))
 def test_as_labels_whole_floats_map_to_their_ints(values):
     labels = as_labels(np.array(values, dtype=float))
@@ -42,7 +42,7 @@ def _not_a_label(value):
     return not (math.isfinite(value) and value == math.trunc(value) and abs(value) < 2.0**63)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(st.integers(0, 5), min_size=1, max_size=20),
     st.floats(allow_nan=True, allow_infinity=True).filter(_not_a_label),
