@@ -27,9 +27,10 @@ alike and return a plan on both trees, it also gives the largest cost change
 over tol times the largest cost, and each tree's largest
 ``marginal_residual()`` over tol. For the float32 class it also counts how
 the change tree's solves leave float32, from one more untimed run of each
-with ``ot._sweep_arrays`` and ``ot._widen`` wrapped: ``early``, a move to
-float64 with no widen before it (an opening that underflows, or an
-absorption); ``floor``, the last stage's floor hand-over (a widen, then
+with ``ot._sweep_arrays`` and ``ot._widen`` wrapped: ``early``, a restart
+in float64 with no widen before it (the float32 sweeps met an absorption or
+an opening that underflows, and the solve started over as the float64
+solve); ``floor``, the last stage's floor hand-over (a widen, then
 float64 sweeps); ``budget``, the widen at the end of a solve whose
 ``max_iter`` ran out in float32; ``float64``, a solve that never sweeps in
 float32 (a mass below ``F32_MASS``). Replay numbers are evidence for a
@@ -294,8 +295,8 @@ def main(argv=None) -> int:
                  "marginal_residual() / tol. Size classes: small, both sides under "
                  f"{SMALL_SIDE} atoms; float32, at least F32_CELLS ({f32_cells}) cells of "
                  "positive mass; large, the rest. exits counts how the change tree's "
-                 "float32-class solves leave float32: early, a move to float64 with no "
-                 "widen before it (an underflowing opening or an absorption); floor, the "
+                 "float32-class solves leave float32: early, a restart in float64 with no "
+                 "widen before it (at an absorption or an underflowing opening); floor, the "
                  "last stage's floor hand-over; budget, the widen at the end of a solve "
                  "whose max_iter ran out in float32; float64, never in float32.",
         "command": "python3 benchmarks/replay.py --base <base src> --change <change src> "

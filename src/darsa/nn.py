@@ -130,6 +130,8 @@ def init_network(sizes: Sequence[int], activations: Sequence[str], rng: np.rando
     """
     if len(sizes) != len(activations) + 1:
         raise ValueError("need one activation per layer")
+    if min(sizes) < 1:
+        raise ValueError(f"layer sizes must be positive, got {list(sizes)}")
     layers = []
     for fan_in, fan_out, tag in zip(sizes, sizes[1:], activations):
         if tag in ("relu", "leaky-relu"):

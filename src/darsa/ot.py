@@ -4,10 +4,10 @@ Exact small-scale solvers, a Sinkhorn solver for entropic regularized
 transport (stabilized scaling with ε-scaling and adaptive
 over-relaxation; a stage opens with one exp pass from the carried
 potentials, and with a log-domain sweep only on underflow; large solves
-sweep in float32 on a kernel built only at a stage opening and finish in
-float64, so every absorption and log-domain opening runs in float64),
-Gaussian closed forms, and the mixture-level Wasserstein distance used to
-compare sub-domain decompositions.
+sweep in float32 and finish in float64, or start over in float64 where
+float32 sweeps would rebuild the kernel), Gaussian closed forms, and the
+mixture-level Wasserstein distance used to compare sub-domain
+decompositions.
 
 Conventions
 -----------
@@ -313,25 +313,24 @@ def _flush(kernel) -> None:
         chunk *= mask
 
 
-def _sweep_arrays(buffer, a, b, dtype, scalings=None, kt_u=None):
+def _sweep_arrays(buffer, a, b, dtype, scalings=None):
     """The kernel and the per-sweep vectors of a ``sinkhorn`` solve in
     ``dtype``: K over ``buffer`` (the plan's n×m float64 array; a float32 K
     takes the first half of its bytes, in its memory order), its transpose
     view, the marginals, u and v in one vector (so that a test takes two
     reductions), K v, Kᵀ u, the plan's row sums, and scratch vectors for the
-    residual and the updates. A float32 solve moves to float64 by carrying
-    ``scalings`` (u and v) and, at an absorption, ``kt_u`` over."""
+    residual and the updates. The floor hand-over carries ``scalings`` (u
+    and v) over from float32."""
     n, m = buffer.shape
     kernel = buffer
     if dtype is np.float32:
         strides = [stride // 2 for stride in buffer.strides]
         kernel = np.ndarray(buffer.shape, dtype, buffer, strides=strides)
     scalings = np.empty(n + m, dtype) if scalings is None else scalings.astype(dtype)
-    kt_u = np.empty(m, dtype) if kt_u is None else kt_u.astype(dtype)
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     return (
         kernel, kernel.T, a, b, scalings, scalings[:n], scalings[n:],
-        *(np.empty(n, dtype) for _ in range(3)), kt_u, np.empty(m, dtype),
+        *(np.empty(n, dtype) for _ in range(3)), *(np.empty(m, dtype) for _ in range(2)),
     )
 
 
@@ -380,6 +379,141 @@ def _next_omega(omega, rate) -> float:
         return omega
     best = min(2.0 / (1.0 + math.sqrt(1.0 - theta)), OMEGA_MAX)
     return best if best > omega and best >= OMEGA_MIN else omega
+
+
+def _sweeps(buffer, cost_r, a_r, b_r, reg, top, max_iter, tol, dtype):
+    """The ε-scaling stages of ``sinkhorn`` on the reduced problem (largest
+    cost ``top``) in ``dtype``: ``(u, v, iterations, residual, converged)``,
+    with the float64 kernel K in ``buffer`` (the plan is u K v). A float32
+    run returns None where a float64 one rebuilds K: at an absorption, or
+    at an opening whose K has a row or column underflowing."""
+    # ε-scaling: solve first at reg * EPS_FACTOR**stages, where C/reg is at
+    # most EPS_START, then anneal toward reg, each stage starting from the
+    # previous stage's potentials. Every stage needs its opening sweep, so
+    # the schedule is cut to fit max_iter.
+    stages = 0
+    while top > EPS_START * reg * EPS_FACTOR**stages and stages < max_iter - 1:
+        stages += 1
+
+    f, g = np.zeros(a_r.size), np.zeros(b_r.size)
+    single = dtype is np.float32
+    (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, kt_u, col) = _sweep_arrays(
+        buffer, a_r, b_r, dtype
+    )
+    tiny = F32_TINY if single else TINY
+    one = np.float64(1.0)  # a float32 scaling's reciprocal in float64 cannot overflow
+    iterations, residual = 0, None
+    for stage in range(stages, -1, -1):
+        stage_reg = reg * EPS_FACTOR**stage
+        # The stage opens on the kernel of the carried potentials, built in
+        # one exp pass (the top stage's are zero), with a sweep from
+        # u = v = 1 that has no residual check before it; the loop's first
+        # pass finishes that sweep.
+        if stage == stages:
+            _fill_kernel(kernel, cost_r, stage_reg)
+        else:
+            _fill_kernel(kernel, cost_r, stage_reg, f, g)
+        kernel.sum(axis=1, out=kv)
+        underflow = kv.min() < tiny
+        if not underflow:
+            np.divide(a_s, kv, out=u)
+            kernel_t.dot(u, out=kt_u)
+            underflow = kt_u.min() < tiny
+        if underflow:
+            # A kernel row or column underflowed (atoms of tiny mass, or a
+            # float32 exponent past its range): run the opening sweep on
+            # log-domain potentials instead.
+            if single:
+                return None
+            scaled = cost_r / -stage_reg
+            f = np.log(a_r) - logsumexp(scaled + g, axis=1)
+            g = np.log(b_r) - logsumexp(scaled + f[:, None], axis=0)
+            _fill_kernel(kernel, cost_r, stage_reg, f, g)
+            u.fill(1.0)
+            kernel.sum(axis=0, out=kt_u)
+        stage_tol = max(tol, STAGE_TOL) if stage else tol
+        converged = False
+        # Over-relaxation: each stage starts plain, and the factor is set
+        # from the residual's rate over windows of sweeps (_next_omega).
+        omega, relaxed = 1.0, False  # relaxed: v-updates relaxed, columns not exact
+        probe, ref, window = iterations + PLAIN_OPEN, None, 0
+        while True:
+            # Leave one sweep for the opening of each stage still to come;
+            # the sweep that spends the last of the budget updates v plainly,
+            # so the plan it leaves has exact columns.
+            last = iterations + 1 >= max_iter - stage
+            if relaxed and not last:
+                np.multiply(v, kt_u, out=col)
+                np.divide(b_s, col, out=col)
+                v *= np.power(col, omega, out=col)
+            else:
+                np.divide(b_s, kt_u, out=v)
+            iterations += 1
+            if max(scalings.max(), one / scalings.min()) > SCALING_BOUND:
+                if single:
+                    return None
+                f += np.log(u)
+                g += np.log(v)
+                _fill_kernel(kernel, cost_r, stage_reg, f, g)
+                kt_u *= v  # v Kᵀu stays the plan's column sums
+                scalings.fill(1.0)
+            if last:
+                break
+            while True:
+                kernel.dot(v, out=kv)
+                np.multiply(u, kv, out=row)
+                # The L1 violation of the current plan. Its columns are exact
+                # after a plain v-update, and counted only once the rows are
+                # within tol after a relaxed one. A float32 residual stops at
+                # the floor of its own noise.
+                stop = max(stage_tol, F32_FLOOR) if single else stage_tol
+                np.subtract(row, a_s, out=diff)
+                residual = float(np.abs(diff, out=diff).sum())
+                if residual <= stop and relaxed:
+                    np.multiply(v, kt_u, out=col)
+                    np.subtract(col, b_s, out=col)
+                    residual += float(np.abs(col, out=col).sum())
+                if residual > stop or stage or not single:
+                    break
+                # The last stage's float32 residual reached its floor: widen
+                # the kernel and measure the same plan in float64, columns
+                # included (a float32 v-update made them exact in float32
+                # only); float64 sweeps go on from it to tol.
+                _widen(buffer)
+                (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, kt_u, col) = (
+                    _sweep_arrays(buffer, a_r, b_r, float, scalings)
+                )
+                kernel_t.dot(u, out=kt_u)
+                single, relaxed = False, True
+            if residual <= stop:
+                converged = True
+                break
+            if iterations == probe:
+                # A window closes: set ω from its rate, then open the next.
+                if ref is not None:
+                    omega = _next_omega(omega, (residual / ref) ** (1.0 / window))
+                if omega != 1.0:
+                    ref, window = residual, RELAXED_WINDOW
+                elif ref is None:
+                    ref, window = residual, PLAIN_WINDOW
+                else:
+                    ref, window = None, PLAIN_OPEN
+                probe = iterations + window
+            if omega == 1.0:
+                np.divide(a_s, kv, out=u)
+            else:
+                np.divide(a_s, row, out=diff)
+                u *= np.power(diff, omega, out=diff)
+            kernel_t.dot(u, out=kt_u)
+            relaxed = omega != 1.0
+        if stage:
+            # The potentials are in units of the stage's reg.
+            f = (f + np.log(u)) * EPS_FACTOR
+            g = (g + np.log(v)) * EPS_FACTOR
+
+    if single:
+        _widen(buffer)  # max_iter ran out in float32 sweeps
+    return u, v, iterations, residual, converged
 
 
 def sinkhorn(
@@ -438,20 +572,21 @@ def sinkhorn(
     in the sweeps are float32; the cost, the potentials, the plan and its
     cost stay float64. The float32 kernel sits in the first half of the
     float64 buffer that becomes the plan, so no n×m array is added, and its
-    subnormal entries are set to zero. A float32 kernel is built only at a
-    stage opening, and float32 sweeps only scale: an opening whose float32
-    kernel has a row or column underflowing runs its log-domain sweep in
-    float64, and an absorption moves the solve to float64 (carrying u, v
-    and Kᵀ u) before it absorbs, both for good and in the same buffer. The
+    subnormal entries are set to zero. Float32 sweeps never rebuild the
+    kernel: where they would (an absorption, or an opening whose kernel
+    has a row or column underflowing), the solve starts over as the float64
+    solve, byte for byte, and ``iterations`` counts that run's sweeps. The
     final stage's float32 sweeps stop at residual ``max(tol, F32_FLOOR)``;
     the kernel is then widened in place and float64 sweeps go on from that
     plan to ``tol``, so ``residual``, ``converged`` and the ``100 * tol``
     rule are float64 measurements of the returned plan at every size.
     Smaller solves run in float64 throughout.
 
-    Returns the coupling as a :class:`TransportPlan`; the reported cost is
-    the transport cost of that coupling, excluding the entropy term. With
-    ``return_info=True`` a ``(plan, SinkhornInfo)`` pair is returned.
+    A cost with negative entries is solved as ``C - min(C)``, which has the
+    same plans. Returns the coupling as a :class:`TransportPlan`; the
+    reported cost is its transport cost against ``C``, excluding the
+    entropy term. With ``return_info=True`` a ``(plan, SinkhornInfo)``
+    pair is returned.
 
     Raises
     ------
@@ -466,8 +601,8 @@ def sinkhorn(
     a = _check_marginal(a, n, "a")
     b = _check_marginal(b, m, "b")
     # max and min propagate NaN, so they check finiteness without an n×m mask.
-    top = float(cost.max())
-    if not (math.isfinite(top) and math.isfinite(float(cost.min()))):
+    top, low = float(cost.max()), float(cost.min())
+    if not (math.isfinite(top) and math.isfinite(low)):
         raise ValueError("cost matrix must be a finite 2-D array")
     # Checked after the cost: a relative reg resolved against a NaN cost is NaN.
     if not 0 < reg < math.inf:
@@ -487,145 +622,19 @@ def sinkhorn(
     else:
         cost_r, a_r, b_r = cost[np.ix_(rows, cols)], a[rows], b[cols]
         top = float(cost_r.max())
+    if low < 0:
+        # A shift of the cost leaves every plan as it is; solve on C ≥ 0.
+        cost_r = cost_r - low
+        top = float(cost_r.max())
 
-    # ε-scaling: solve first at reg * EPS_FACTOR**stages, where C/reg is at
-    # most EPS_START, then anneal toward reg, each stage starting from the
-    # previous stage's potentials. Every stage needs its opening sweep, so
-    # the schedule is cut to fit max_iter.
-    stages = 0
-    while top > EPS_START * reg * EPS_FACTOR**stages and stages < max_iter - 1:
-        stages += 1
-
-    f, g = np.zeros(rows.size), np.zeros(cols.size)
     # The reduced plan's buffer is the solve's one array of its size. A
     # large solve whose masses are all at least F32_MASS sweeps in float32,
-    # its kernel in the first half of the buffer, and moves to float64 in
-    # the same buffer: at an opening that underflows, at an absorption, or
-    # at the floor hand-over, where it widens the kernel in place.
+    # its kernel in the first half of the buffer, unless it starts over.
     buffer = np.empty_like(cost_r)
+    solve = (buffer, cost_r, a_r, b_r, reg, top, max_iter, tol)
     single = cost_r.size >= F32_CELLS and min(a_r.min(), b_r.min()) >= F32_MASS
-    (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, kt_u, col) = _sweep_arrays(
-        buffer, a_r, b_r, np.float32 if single else float
-    )
-    one = np.float64(1.0)  # a float32 scaling's reciprocal in float64 cannot overflow
-    iterations = 0
-    for stage in range(stages, -1, -1):
-        stage_reg = reg * EPS_FACTOR**stage
-        # The stage opens on the kernel of the carried potentials, built in
-        # one exp pass (the top stage's are zero), with a sweep from
-        # u = v = 1 that has no residual check before it; the loop's first
-        # pass finishes that sweep.
-        if stage == stages:
-            _fill_kernel(kernel, cost_r, stage_reg)
-        else:
-            _fill_kernel(kernel, cost_r, stage_reg, f, g)
-        tiny = F32_TINY if single else TINY
-        kernel.sum(axis=1, out=kv)
-        underflow = kv.min() < tiny
-        if not underflow:
-            np.divide(a_s, kv, out=u)
-            kernel_t.dot(u, out=kt_u)
-            underflow = kt_u.min() < tiny
-        if underflow:
-            # A kernel row or column underflowed (atoms of tiny mass, or a
-            # float32 exponent past its range): run the opening sweep on
-            # log-domain potentials instead, in float64 from here.
-            if single:
-                single = False
-                (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, kt_u, col) = (
-                    _sweep_arrays(buffer, a_r, b_r, float)
-                )
-            scaled = cost_r / -stage_reg
-            f = np.log(a_r) - logsumexp(scaled + g, axis=1)
-            g = np.log(b_r) - logsumexp(scaled + f[:, None], axis=0)
-            _fill_kernel(kernel, cost_r, stage_reg, f, g)
-            u.fill(1.0)
-            kernel.sum(axis=0, out=kt_u)
-        stage_tol = max(tol, STAGE_TOL) if stage else tol
-        converged = False
-        # Over-relaxation: each stage starts plain, and the factor is set
-        # from the residual's rate over windows of sweeps (_next_omega).
-        omega, relaxed = 1.0, False  # relaxed: v-updates relaxed, columns not exact
-        probe, ref, window = iterations + PLAIN_OPEN, None, 0
-        while True:
-            if relaxed:
-                np.multiply(v, kt_u, out=col)
-                np.divide(b_s, col, out=col)
-                v *= np.power(col, omega, out=col)
-            else:
-                np.divide(b_s, kt_u, out=v)
-            iterations += 1
-            if max(scalings.max(), one / scalings.min()) > SCALING_BOUND:
-                if single:
-                    # A float32 kernel is never rebuilt (its rows could flush
-                    # to zero): float64 from here. The carried Kᵀu has float32
-                    # rounding, so the next test counts the columns.
-                    single, relaxed = False, True
-                    (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, kt_u, col) = (
-                        _sweep_arrays(buffer, a_r, b_r, float, scalings, kt_u)
-                    )
-                f += np.log(u)
-                g += np.log(v)
-                _fill_kernel(kernel, cost_r, stage_reg, f, g)
-                kt_u *= v  # v Kᵀu stays the plan's column sums
-                scalings.fill(1.0)
-            # Leave one sweep for the opening of each stage still to come.
-            if iterations >= max_iter - stage:
-                break
-            while True:
-                kernel.dot(v, out=kv)
-                np.multiply(u, kv, out=row)
-                # The L1 violation of the current plan. Its columns are exact
-                # after a plain v-update, and counted only once the rows are
-                # within tol after a relaxed one. A float32 residual stops at
-                # the floor of its own noise.
-                stop = max(stage_tol, F32_FLOOR) if single else stage_tol
-                np.subtract(row, a_s, out=diff)
-                residual = float(np.abs(diff, out=diff).sum())
-                if residual <= stop and relaxed:
-                    np.multiply(v, kt_u, out=col)
-                    np.subtract(col, b_s, out=col)
-                    residual += float(np.abs(col, out=col).sum())
-                if residual > stop or stage or not single:
-                    break
-                # The last stage's float32 residual reached its floor: widen
-                # the kernel and measure the same plan in float64, columns
-                # included (a float32 v-update made them exact in float32
-                # only); float64 sweeps go on from it to tol.
-                _widen(buffer)
-                (kernel, kernel_t, a_s, b_s, scalings, u, v, kv, row, diff, kt_u, col) = (
-                    _sweep_arrays(buffer, a_r, b_r, float, scalings)
-                )
-                kernel_t.dot(u, out=kt_u)
-                single, relaxed = False, True
-            if residual <= stop:
-                converged = True
-                break
-            if iterations == probe:
-                # A window closes: set ω from its rate, then open the next.
-                if ref is not None:
-                    omega = _next_omega(omega, (residual / ref) ** (1.0 / window))
-                if omega != 1.0:
-                    ref, window = residual, RELAXED_WINDOW
-                elif ref is None:
-                    ref, window = residual, PLAIN_WINDOW
-                else:
-                    ref, window = None, PLAIN_OPEN
-                probe = iterations + window
-            if omega == 1.0:
-                np.divide(a_s, kv, out=u)
-            else:
-                np.divide(a_s, row, out=diff)
-                u *= np.power(diff, omega, out=diff)
-            kernel_t.dot(u, out=kt_u)
-            relaxed = omega != 1.0
-        if stage:
-            # The potentials are in units of the stage's reg.
-            f = (f + np.log(u)) * EPS_FACTOR
-            g = (g + np.log(v)) * EPS_FACTOR
-
-    if single:
-        _widen(buffer)  # max_iter ran out in float32 sweeps
+    solved = single and _sweeps(*solve, np.float32)
+    u, v, iterations, residual, converged = solved or _sweeps(*solve, float)
     coupling = buffer
     coupling *= u[:, None]
     coupling *= v

@@ -127,6 +127,8 @@ class Dataset:
 def _isotropic_mixture(means: np.ndarray, weights, sigma: float) -> ot.GaussianMixture:
     means = np.atleast_2d(np.asarray(means, dtype=float))
     d = means.shape[1]
+    if not np.isfinite(float(sigma) * float(sigma)):  # sigma**2 would raise OverflowError
+        raise ValueError(f"sigma must have a finite square, got {sigma!r}")
     comps = tuple(
         ot.GaussianComponent(m, sigma**2 * np.eye(d)) for m in means
     )

@@ -104,8 +104,8 @@ class DarsaConfig:
             raise ValueError("margin and lr must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if min(self.batch_size, self.epochs + 1, self.pretrain_epochs + 1) < 1:
-            raise ValueError("batch_size must be positive, epoch counts nonnegative")
+        if min(self.batch_size, self.feature_dim, self.epochs + 1, self.pretrain_epochs + 1) < 1:
+            raise ValueError("batch_size and feature_dim must be positive, epochs nonnegative")
         if self.sinkhorn_reg <= 0 or self.sinkhorn_tol <= 0 or self.sinkhorn_max_iter < 1:
             raise ValueError("invalid sinkhorn parameters")
         if self.sinkhorn_reg_mode not in ("absolute", "relative"):

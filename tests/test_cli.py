@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -366,6 +367,7 @@ def test_train_failure_exit_code(tmp_path, capsys, document, where):
         ({"estimate_w_t": "no"}, "invalid darsa config: estimate_w_t must be bool"),
         ({"sinkhorn_reg": float("nan")}, "invalid darsa config: sinkhorn_reg must be finite"),
         ({"lr": float("inf")}, "invalid darsa config: lr must be finite"),
+        ({"feature_dim": 0}, "feature_dim must be positive"),
     ],
 )
 def test_train_bad_config_value_exits_two(tmp_path, capsys, bad, message):
@@ -545,6 +547,29 @@ def test_figure1_terms_equal_bound_report(tmp_path, capsys, seed):
 
 def test_figure1_sigma_guard(capsys):
     assert main(["figure1", "--sigma", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure1", "--sigma", "1e300"],
+        ["gen", "--task", "figure1", "--sigma", "1e300"],
+        ["gen", "--task", "gmm", "--sigma", "1e300"],
+        ["train"],
+    ],
+    ids=["figure1", "gen-figure1", "gen-gmm", "train"],
+)
+def test_sigma_with_overflowing_square_exits_two(tmp_path, capsys, argv):
+    # sigma**2 overflows a float past 1.3e154: the generators reject such a
+    # sigma instead of raising OverflowError, which exited 1 with a traceback.
+    if argv == ["train"]:
+        task = {"name": "figure1", "sigma": 1e300, "n_per_domain": 150}
+        argv = ["train", "--config", str(_train_config(tmp_path, task=task))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "sigma must have a finite square" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_figure1_empty_cluster_exits_two(tmp_path, capsys):

@@ -476,6 +476,14 @@ def test_backward_linear_net_closed_form():
     assert np.abs(d_bias - residual.sum(axis=0)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("sizes", [[3, 0, 2], [0, 2], [3, -1]])
+def test_init_network_rejects_a_size_below_one(sizes):
+    # A zero fan-in divided by zero in the He limit (ZeroDivisionError).
+    acts = ["relu"] * (len(sizes) - 2) + ["identity"]
+    with pytest.raises(ValueError, match="layer sizes must be positive"):
+        init_network(sizes, acts, np.random.default_rng(0))
+
+
 def test_backward_zero_upstream():
     rng = np.random.default_rng(14)
     net = init_network([3, 4, 2], ["relu", "identity"], rng)
