@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import ot
-from .weights import ClassWeights, as_labels, class_rows
+from .weights import ClassWeights, as_features, as_labels, class_rows
 
 EXACT_TOL = 1e-12
 
@@ -139,7 +139,7 @@ def delta_c(parts: Sequence[np.ndarray]) -> float:
     Four times the square root of the largest per-part empirical
     covariance trace. Parts with fewer than two samples contribute zero.
     """
-    parts = [np.atleast_2d(np.asarray(p, dtype=float)) for p in parts if np.asarray(p).size]
+    parts = [as_features(p, "parts") for p in parts if np.size(p)]
     if not parts:
         raise ValueError("all parts empty")
     worst = 0.0
@@ -153,7 +153,7 @@ def delta_c(parts: Sequence[np.ndarray]) -> float:
 
 def split_by_class(features: np.ndarray, labels: np.ndarray, k: int) -> list:
     """Partition feature rows into K per-class arrays (possibly empty)."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
+    features = as_features(features, "features")
     return [features[rows] for rows in class_rows(labels, k, features.shape[0])]
 
 
@@ -162,10 +162,8 @@ def discrepancy_terms(
 ) -> tuple:
     """``(pooled, weighted, slack)``: pooled W1, ``w_t``-weighted paired per-class W1
     (an ``ot.WeightedSubdomainW1``) and ``delta_c``; every solve gets ``solver``."""
-    source_features = np.atleast_2d(np.asarray(source_features, dtype=float))
-    target_features = np.atleast_2d(np.asarray(target_features, dtype=float))
-    if source_features.shape[1] != target_features.shape[1]:
-        raise ValueError("feature spaces differ in dimension")
+    source_features = as_features(source_features, "source_features")
+    target_features = as_features(target_features, "target_features", source_features.shape[1])
     pooled = ot.w1_empirical(source_features, target_features, **solver)
     source_parts = split_by_class(source_features, source_labels, w_t.k)
     target_parts = split_by_class(target_features, target_labels, w_t.k)

@@ -272,7 +272,7 @@ def _props_arg(text: str, flag: str) -> list:
     """A ``--*-props`` JSON array, checked to be on the simplex and written as floats."""
     props = json.loads(text)
     if not training.has_kind(props, "tuple"):
-        raise ValueError(f"{flag} must be a JSON array, got {text}")
+        raise ValueError(f"{flag} must be a JSON array of numbers, got {text}")
     return ClassWeights(np.asarray(props, dtype=float)).w.tolist()
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import ot
-from .weights import ClassWeights, as_labels, class_rows
+from .weights import ClassWeights, as_features, as_labels, class_rows
 
 LEAKY_SLOPE = 0.01
 CHECKPOINT_FORMAT_VERSION = 1
@@ -162,6 +162,8 @@ class BackwardResult(NamedTuple):
 
 def forward(params: NetworkParams, x) -> tuple:
     """Run the stack on a batch, caching activations for the backward pass."""
+    # Not as_features: a non-finite activation must reach the SGD step, whose
+    # GradientBlowupError names the layer it blew up in.
     h = np.atleast_2d(np.asarray(x, dtype=float))
     if h.shape[1] != params.in_dim:
         raise ValueError(f"input dim {h.shape[1]} does not match network ({params.in_dim})")
@@ -348,10 +350,8 @@ def loss_discrepancy_weighted(
     transport partners. Classes missing on either side are skipped with a
     count, which is routine for minibatches under label shift.
     """
-    feat_s = np.atleast_2d(np.asarray(feat_s, dtype=float))
-    feat_t = np.atleast_2d(np.asarray(feat_t, dtype=float))
-    if feat_s.shape[1] != feat_t.shape[1]:
-        raise ValueError("feature spaces differ in dimension")
+    feat_s = as_features(feat_s, "feat_s")
+    feat_t = as_features(feat_t, "feat_t", feat_s.shape[1])
     rows_s = class_rows(labels_s, w_t.k, feat_s.shape[0])
     rows_t = class_rows(pseudo_t, w_t.k, feat_t.shape[0])
     value = 0.0
@@ -384,7 +384,7 @@ def loss_intra(features, labels, margin: float) -> LossValue:
     """
     if not 0 < margin < np.inf:
         raise ValueError("margin must be positive and finite")
-    x = np.atleast_2d(np.asarray(features, dtype=float))
+    x = as_features(features, "features")
     n = x.shape[0]
     labels = as_labels(labels, n=n)
     if not n:
@@ -414,8 +414,8 @@ def loss_inter(parts_s: Sequence[np.ndarray], parts_t: Sequence[np.ndarray]) -> 
     k = len(parts_s)
     if k < 1:
         raise ValueError("need at least one class")
-    parts_s = [np.atleast_2d(np.asarray(p, dtype=float)) for p in parts_s]
-    parts_t = [np.atleast_2d(np.asarray(p, dtype=float)) for p in parts_t]
+    parts_s = [as_features(p, "parts_s") for p in parts_s]
+    parts_t = [as_features(pt, "parts_t", ps.shape[1]) for ps, pt in zip(parts_s, parts_t)]
     active, skipped = [], []
     for i, (ps, pt) in enumerate(zip(parts_s, parts_t)):
         (active if ps.size and pt.size else skipped).append(i)

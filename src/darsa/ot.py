@@ -33,7 +33,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from .weights import ClassWeights, class_rows
+from .weights import ClassWeights, as_features, class_rows
 
 MARGINAL_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -185,15 +185,6 @@ class WeightedSubdomainW1(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _as_samples(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty sample set")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"non-finite value in {name}")
-    return x
-
-
 def _check_marginal(p, n: int, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.size != n:
@@ -205,11 +196,8 @@ def _check_marginal(p, n: int, name: str) -> np.ndarray:
 
 def euclidean_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances between rows of two clouds."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if x.shape[1] != y.shape[1]:
-        raise ValueError("dimension mismatch between clouds")
-    return cdist(x, y)
+    x = as_features(x, "x")
+    return cdist(x, as_features(y, "y", x.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +212,12 @@ def w1_exact_1d(samples_a, samples_b) -> float:
     sorted samples, which is exact for any pair of sample counts. A cloud
     with more than one column raises.
     """
-    a, b = _as_samples(samples_a, "samples_a"), _as_samples(samples_b, "samples_b")
-    if any(x.ndim > 1 and x.size != len(x) for x in (a, b)):
+    a, b = (as_features(np.reshape(x, (-1, 1)) if np.ndim(x) < 2 else x, name)
+            for x, name in ((samples_a, "samples_a"), (samples_b, "samples_b")))
+    if a.shape[1] != 1 or b.shape[1] != 1:
         raise ValueError("exact1d requires one-dimensional clouds")
+    if not (a.size and b.size):
+        raise ValueError("empty sample set")
     a, b = np.sort(a.reshape(-1)), np.sort(b.reshape(-1))
     grid = np.sort(np.concatenate([a, b]))
     cdf_a = np.searchsorted(a, grid[:-1], side="right") / a.size
@@ -607,6 +598,10 @@ def sinkhorn(
     # Checked after the cost: a relative reg resolved against a NaN cost is NaN.
     if not 0 < reg < math.inf:
         raise ValueError("reg must be positive and finite")
+    # The ε-schedule starts from the cost's span max(C) - min(min(C), 0) over
+    # reg; in Python floats an overflow of either gives inf, without a warning.
+    if not math.isfinite((top - min(low, 0.0)) / float(reg)):
+        raise ValueError("cost range over reg overflows float64")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     if not tol >= 0:
@@ -713,8 +708,9 @@ def w1_empirical(
     shape, then by the first value in which the clouds differ), and the
     transport cost is invariant under transposing the plan.
     """
-    x = np.atleast_2d(_as_samples(x, "x"))
-    y = np.atleast_2d(_as_samples(y, "y"))
+    x, y = as_features(x, "x"), as_features(y, "y")
+    if not (x.size and y.size):
+        raise ValueError("empty sample set")
     first = np.flatnonzero(x != y)[:1] if x.shape == y.shape else []
     if (y.shape, list(y.flat[first])) < (x.shape, list(x.flat[first])):
         x, y = y, x

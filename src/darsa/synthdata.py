@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ot
-from .weights import ClassWeights, as_labels, class_rows
+from .weights import ClassWeights, as_features, as_labels, class_rows
 
 # Figure-one style task: two unit-weight-shifted Gaussians per domain.
 FIGURE1_SOURCE_MEANS = (-1.5, 1.5)
@@ -51,14 +51,11 @@ class Dataset:
     k: int
 
     def __post_init__(self):
-        features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        object.__setattr__(self, "features", features)
-        if not np.all(np.isfinite(features)):
-            raise ValueError("non-finite feature value")
+        object.__setattr__(self, "features", as_features(self.features, "features"))
         if self.k < 1:
             raise ValueError("K must be positive")
         if self.labels is not None:
-            object.__setattr__(self, "labels", as_labels(self.labels, self.k, features.shape[0]))
+            object.__setattr__(self, "labels", as_labels(self.labels, self.k, self.n))
 
     @property
     def n(self) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, nn, ot
 from .synthdata import Dataset, capped_indices
-from .weights import ClassWeights, as_labels, class_rows
+from .weights import ClassWeights, as_features, as_labels, class_rows
 
 
 class TrainingError(RuntimeError):
@@ -40,12 +40,14 @@ _FAILURES = (nn.GradientBlowupError, FloatingPointError, ValueError, ot.Sinkhorn
 
 
 # Accepted types of a config field, by its annotation.
-_CONFIG_KINDS = {"float": numbers.Real, "int": numbers.Integral, "bool": bool, "str": str,
-                 "tuple": (tuple, list)}
+_CONFIG_KINDS = {"float": numbers.Real, "int": numbers.Integral, "bool": bool, "str": str}
 
 
 def has_kind(value, kind: str) -> bool:
-    """Whether a config or JSON value is of the named kind; a bool is no number."""
+    """Whether a config or JSON value is of the named kind; a bool is no number, and
+    a "tuple" is a flat list of numbers."""
+    if kind == "tuple":
+        return isinstance(value, (tuple, list)) and all(has_kind(x, "float") for x in value)
     return isinstance(value, _CONFIG_KINDS[kind]) and isinstance(value, bool) == (kind == "bool")
 
 
@@ -187,7 +189,7 @@ class StepGradients(NamedTuple):
 def apply_models(encoder: nn.NetworkParams, classifier: nn.NetworkParams, x) -> tuple:
     """Encoder features, classifier logits and class predictions of ``x``;
     argmax ties resolve to the lowest class id."""
-    feats, _ = nn.forward(encoder, x)
+    feats, _ = nn.forward(encoder, as_features(x, "x", encoder.in_dim))
     logits, _ = nn.forward(classifier, feats)
     return feats, logits, np.argmax(logits, axis=1)
 
@@ -213,13 +215,12 @@ def estimate_target_weights(
     Mean softmax probability per class over the target samples, clamped
     below at ``floor`` and renormalized onto the simplex.
     """
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
-    if x_t.shape[0] == 0:
-        raise ValueError("empty target set")
     k = classifier.out_dim
     if floor * k >= 1:
         raise ValueError("floor too large for the number of classes")
     _, logits, _ = apply_models(encoder_t, classifier, x_t)
+    if logits.shape[0] == 0:
+        raise ValueError("empty target set")
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -393,7 +394,7 @@ def fit(source: Dataset, target: Dataset, config: DarsaConfig, eval_labels=None)
     if source.labels is None:
         raise ValueError("source dataset must be labeled")
     if source.dim != target.dim:
-        raise ValueError("source and target feature dimensions differ")
+        raise ValueError("feature spaces differ in dimension")
     if source.k != target.k:
         raise ValueError("class cardinality mismatch")
     if eval_labels is not None:

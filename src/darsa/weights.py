@@ -1,10 +1,11 @@
-"""Class labels and class-weight vectors on the probability simplex.
+"""Feature matrices, class labels and class-weight vectors on the simplex.
 
 Both domains carry a weight per sub-domain (class): the source weights are
 the empirical label proportions, the target weights are estimated from
 classifier predictions. Everything downstream (reweighted losses, the
 sub-domain discrepancy, the bound estimators) consumes these as a
-``ClassWeights`` value, and reads its label vectors through ``as_labels``.
+``ClassWeights`` value, reads its label vectors through ``as_labels`` and
+its feature matrices through ``as_features``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 SIMPLEX_TOL = 1e-9
+
+
+def as_features(x, name: str, d: int | None = None) -> np.ndarray:
+    """A 2-D float feature matrix, one row per sample (a 1-D input is one row; float64
+    is not copied). More axes, a non-finite value or columns other than ``d`` raise."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim > 2:
+        raise ValueError(f"{name} must be a 2-D feature matrix, got {x.ndim} dimensions")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"non-finite value in {name}")
+    if d is not None and x.shape[1] != d:
+        raise ValueError("feature spaces differ in dimension")
+    return x
 
 
 def as_labels(labels, k: int | None = None, n: int | None = None) -> np.ndarray:

@@ -105,6 +105,16 @@ def test_ot_exact1d_vs_sinkhorn(figure1_csvs, capsys):
     assert abs(values["exact1d"] - values["sinkhorn"]) <= 0.05
 
 
+def test_ot_sinkhorn_schedule_past_float64_exits_two(tmp_path, capsys):
+    # Costs near 1e10 over reg 1e-300 leave float64: an input error, not a traceback.
+    rng = np.random.default_rng(5)
+    for name in ("a", "b"):
+        Dataset(1e10 * rng.normal(size=(5, 2)), None, 1).to_csv(tmp_path / f"{name}.csv")
+    argv = ["ot", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--method", "sinkhorn"]
+    assert main([*argv, "--reg", "1e-300"]) == 2
+    assert "cost range over reg overflows float64" in capsys.readouterr().err
+
+
 def test_ot_exact1d_rejects_two_column_csv(tmp_path, capsys):
     rng = np.random.default_rng(3)
     Dataset(rng.normal(size=(6, 2)), None, 1).to_csv(tmp_path / "a.csv")
@@ -645,6 +655,23 @@ def test_gen_props_must_be_json_array(tmp_path, capsys, flag, value):
     assert main(["gen", "--task", "gmm", flag, value, "--out", str(out_dir)]) == 2
     assert f"{flag} must be a JSON array" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_nested_props_exit_two_naming_the_key(tmp_path, capsys, command):
+    # ClassWeights would flatten a nested list into a proportion vector; the
+    # JSON kind check, which knows the key, rejects it instead.
+    nested = [[0.6], [0.2], [0.2]]
+    if command == "gen":
+        argv = ["gen", "--task", "gmm", "--source-props", json.dumps(nested)]
+        message = "--source-props must be a JSON array of numbers"
+    else:
+        task = {**GMM_TASK, "source_props": nested}
+        argv = ["train", "--config", str(_train_config(tmp_path, task=task))]
+        message = "invalid task: source_props must be tuple"
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_gmm_deterministic(tmp_path):

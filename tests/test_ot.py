@@ -284,9 +284,9 @@ def test_sinkhorn_rejects_bad_settings(kwargs, message):
 
 def test_non_finite_features_name_the_cost_not_the_reg():
     # A relative reg resolved against a NaN cost matrix is NaN itself; the
-    # cost is checked first, so the error names the cause.
+    # features are checked before the cost is built, so the error names the cause.
     x = np.array([[0.0], [np.nan], [1.0]])
-    with pytest.raises(ValueError, match="cost matrix must be a finite 2-D array"):
+    with pytest.raises(ValueError, match="non-finite value in x"):
         uniform_plan(x, np.array([[0.5], [2.0]]), 0.05, 100, 1e-3, reg_mode="relative")
 
 
@@ -298,6 +298,28 @@ def test_sinkhorn_rejects_non_finite_cost(bad, where):
     cost.flat[where] = bad
     with pytest.raises(ValueError, match="finite 2-D array"):
         sinkhorn(cost, np.full(3, 1 / 3), np.full(4, 0.25), reg=0.1)
+
+
+@pytest.mark.parametrize(
+    "cost, a, reg",
+    [([[0.0, 1e300]], [1.0], 1e-300), ([[-1e308, 1e308], [0.0, 1.0]], [0.5, 0.5], 1.0)],
+    ids=["span-over-reg", "span"],
+)
+def test_sinkhorn_rejects_a_schedule_past_float64(cost, a, reg):
+    # The ε-schedule starts from the span max(C) - min(min(C), 0) over reg.
+    # Past float64, its stage count cannot be a float ("span-over-reg") and
+    # the shifted cost is inf ("span"): input errors both, before any sweep.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cost range over reg overflows float64"):
+            sinkhorn(cost, a, [0.5, 0.5], reg)
+
+
+def test_sinkhorn_solves_the_largest_finite_schedule():
+    # 1e300 over 1e-8 is finite: 510 stages of one sweep each.
+    plan, info = sinkhorn([[0.0, 1e300]], [1.0], [0.5, 0.5], 1e-8, return_info=True)
+    assert info.converged and info.iterations == 510
+    np.testing.assert_array_equal(plan.coupling, [[0.5, 0.5]])
 
 
 def _reference_omega(omega, rate):

@@ -1,4 +1,5 @@
-"""Label vectors: the one conversion and check, and every public entry point."""
+"""Label vectors and feature matrices: the one conversion and check of each, and every
+public entry point that takes one."""
 
 import math
 import warnings
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from darsa.bounds import (
     SubdomainPartition,
     bound_report,
+    delta_c,
+    discrepancy_terms,
     source_risk,
     split_by_class,
     subdomain_risks,
@@ -19,11 +22,21 @@ from darsa.nn import (
     cross_entropy,
     loss_classification_weighted,
     loss_discrepancy_weighted,
+    loss_inter,
     loss_intra,
 )
+from darsa.ot import euclidean_cost_matrix, w1_empirical, w1_exact_1d
 from darsa.synthdata import Dataset
-from darsa.training import DarsaConfig, accuracy, default_networks, fit
-from darsa.weights import ClassWeights, as_labels, class_rows
+from darsa.training import (
+    DarsaConfig,
+    accuracy,
+    apply_models,
+    default_networks,
+    estimate_target_weights,
+    fit,
+    predict,
+)
+from darsa.weights import ClassWeights, as_features, as_labels, class_rows
 
 # ---------------------------------------------------------------------------
 # as_labels
@@ -134,3 +147,88 @@ def test_label_entry_point_rejects_a_fractional_label(entry):
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 def test_label_entry_point_reads_whole_floats_as_ints(entry):
     np.testing.assert_equal(ENTRY_POINTS[entry](Y.astype(float)), ENTRY_POINTS[entry](Y))
+
+
+# ---------------------------------------------------------------------------
+# as_features, and every public feature entry point
+# ---------------------------------------------------------------------------
+
+
+def test_as_features_does_not_copy_float64_input():
+    assert np.shares_memory(as_features(FEAT, "x"), FEAT)
+    row = as_features(FEAT[0], "x")
+    assert row.shape == (1, 2) and np.shares_memory(row, FEAT)
+    assert as_features([[1, 2]], "x").dtype == np.float64
+
+
+X1 = FEAT[:, 0].copy()
+FEATURE_ENTRY_POINTS = {
+    # entry: (call on the matrix under test, that matrix when valid, its name in errors)
+    "euclidean_cost_matrix[x]": (lambda x: euclidean_cost_matrix(x, FEAT), FEAT, "x"),
+    "euclidean_cost_matrix[y]": (lambda x: euclidean_cost_matrix(FEAT, x), FEAT, "y"),
+    "w1_empirical[x]": (lambda x: w1_empirical(x, FEAT + 0.5), FEAT, "x"),
+    "w1_empirical[y]": (lambda x: w1_empirical(FEAT, x), FEAT, "y"),
+    "w1_exact_1d[samples_a]": (lambda x: w1_exact_1d(x, X1), X1, "samples_a"),
+    "w1_exact_1d[samples_b]": (lambda x: w1_exact_1d(X1, x), X1, "samples_b"),
+    "split_by_class": (lambda x: split_by_class(x, Y, 2), FEAT, "features"),
+    "delta_c": (lambda x: delta_c([x, FEAT]), FEAT, "parts"),
+    "discrepancy_terms[source]": (
+        lambda x: discrepancy_terms(x, Y, FEAT + 0.5, Y, W), FEAT, "source_features"
+    ),
+    "discrepancy_terms[target]": (
+        lambda x: discrepancy_terms(FEAT, Y, x, Y, W), FEAT, "target_features"
+    ),
+    "bound_report[source]": (
+        lambda x: bound_report(x, Y, Y, FEAT + 0.5, Y, W), FEAT, "source_features"
+    ),
+    "bound_report[target]": (
+        lambda x: bound_report(FEAT, Y, Y, x, Y, W), FEAT, "target_features"
+    ),
+    "loss_discrepancy_weighted[feat_s]": (
+        lambda x: loss_discrepancy_weighted(x, Y, FEAT + 0.5, Y, W), FEAT, "feat_s"
+    ),
+    "loss_discrepancy_weighted[feat_t]": (
+        lambda x: loss_discrepancy_weighted(FEAT, Y, x, Y, W), FEAT, "feat_t"
+    ),
+    "loss_intra": (lambda x: loss_intra(x, Y, 1.0), FEAT, "features"),
+    "loss_inter[parts_s]": (lambda x: loss_inter([x, FEAT], [FEAT + 0.5, FEAT]), FEAT, "parts_s"),
+    "loss_inter[parts_t]": (lambda x: loss_inter([FEAT, FEAT], [x, FEAT + 0.5]), FEAT, "parts_t"),
+    "apply_models": (lambda x: apply_models(*NETS, x), FEAT, "x"),
+    "predict": (lambda x: predict(*NETS, x), FEAT, "x"),
+    "estimate_target_weights": (lambda x: estimate_target_weights(*NETS, x, 1e-3), FEAT, "x"),
+    "Dataset": (lambda x: Dataset(x, Y, 2), FEAT, "features"),
+}
+# Where the matrix meets no other one: delta_c takes each part's variance
+# alone, and w1_exact_1d rejects a second column with its own message.
+ALONE = {"split_by_class", "delta_c", "loss_intra", "Dataset"}
+PAIRED = [e for e in FEATURE_ENTRY_POINTS if e not in ALONE and not e.startswith("w1_exact_1d")]
+
+
+def _raises_without_warning(entry, x, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FEATURE_ENTRY_POINTS[entry][0](x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", list(FEATURE_ENTRY_POINTS))
+def test_feature_entry_point_rejects_a_non_finite_value(entry, bad):
+    # A non-finite feature has no distance, variance or class score: NaN
+    # parts used to drop out of delta_c, and a NaN row was predicted class 0.
+    _, valid, name = FEATURE_ENTRY_POINTS[entry]
+    x = valid.copy()
+    x.flat[3] = bad
+    _raises_without_warning(entry, x, f"non-finite value in {name}")
+
+
+@pytest.mark.parametrize("entry", list(FEATURE_ENTRY_POINTS))
+def test_feature_entry_point_rejects_a_3d_array(entry):
+    _, valid, name = FEATURE_ENTRY_POINTS[entry]
+    x = valid.reshape(len(valid), -1, 1)
+    _raises_without_warning(entry, x, f"{name} must be a 2-D feature matrix, got 3 dimensions")
+
+
+@pytest.mark.parametrize("entry", PAIRED)
+def test_feature_entry_point_rejects_a_column_mismatch(entry):
+    _raises_without_warning(entry, FEAT[:, :1], "feature spaces differ in dimension")
