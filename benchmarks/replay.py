@@ -27,14 +27,14 @@ alike and return a plan on both trees, it also gives the largest cost change
 over tol times the largest cost, and each tree's largest
 ``marginal_residual()`` over tol. For the float32 class it also counts how
 the change tree's solves leave float32, from one more untimed run of each
-with ``ot._sweep_arrays`` and ``ot._widen`` wrapped: ``early``, a restart
-in float64 with no widen before it (the float32 sweeps met an absorption or
-an opening that underflows, and the solve started over as the float64
-solve); ``floor``, the last stage's floor hand-over (a widen, then
-float64 sweeps); ``budget``, the widen at the end of a solve whose
-``max_iter`` ran out in float32; ``float64``, a solve that never sweeps in
-float32 (a mass below ``F32_MASS``). Replay numbers are evidence for a
-solver change, never a test gate.
+with ``ot._sweep_arrays`` and ``ot._widen`` wrapped: ``restart``, the
+float32 run did not converge and the solve started over as the float64
+solve (at an absorption or an opening that underflows, when ``max_iter``
+ran out, or when the float64 sweeps after the floor ended unconverged);
+``floor``, the last stage's floor hand-over (a widen, then float64 sweeps
+that converge); ``float64``, a solve that never sweeps in float32 (a mass
+below ``F32_MASS``). Replay numbers are evidence for a solver change, never
+a test gate.
 """
 
 from __future__ import annotations
@@ -217,9 +217,9 @@ def replay(solves: list, trees: dict, passes: int, f32_cells: int) -> dict:
 
 
 def float32_exits(ot, solves: list) -> dict:
-    """How each solve leaves float32 in ``ot.sinkhorn``: counts of ``early``,
-    ``floor``, ``budget`` and ``float64`` (see the module docstring)."""
-    counts = dict.fromkeys(("early", "floor", "budget", "float64"), 0)
+    """How each solve leaves float32 in ``ot.sinkhorn``: counts of ``restart``,
+    ``floor`` and ``float64`` (see the module docstring)."""
+    counts = dict.fromkeys(("restart", "floor", "float64"), 0)
     events = []
     sweep_arrays, widen = ot._sweep_arrays, ot._widen
 
@@ -240,14 +240,14 @@ def float32_exits(ot, solves: list) -> dict:
                             max_iter=solve.max_iter, tol=solve.tol)
             except ot.SinkhornDivergenceError:
                 pass
+            # The floor hand-over widens, then makes float64 arrays; a
+            # restart makes float64 arrays with no widen before them.
             if events[0] != "float32":
                 counts["float64"] += 1
-                continue
-            moved = events.index("float64") if "float64" in events else len(events)
-            if "widen" not in events[:moved]:
-                counts["early"] += 1
+            elif events.count("float64") > events.count("widen"):
+                counts["restart"] += 1
             else:
-                counts["floor" if moved < len(events) else "budget"] += 1
+                counts["floor"] += 1
     finally:
         ot._sweep_arrays, ot._widen = sweep_arrays, widen
     return counts
@@ -295,10 +295,9 @@ def main(argv=None) -> int:
                  "marginal_residual() / tol. Size classes: small, both sides under "
                  f"{SMALL_SIDE} atoms; float32, at least F32_CELLS ({f32_cells}) cells of "
                  "positive mass; large, the rest. exits counts how the change tree's "
-                 "float32-class solves leave float32: early, a restart in float64 with no "
-                 "widen before it (at an absorption or an underflowing opening); floor, the "
-                 "last stage's floor hand-over; budget, the widen at the end of a solve "
-                 "whose max_iter ran out in float32; float64, never in float32.",
+                 "float32-class solves leave float32: restart, the float32 run did not "
+                 "converge and the solve started over as the float64 solve; floor, the last "
+                 "stage's floor hand-over, converged; float64, never in float32.",
         "command": "python3 benchmarks/replay.py --base <base src> --change <change src> "
                    f"--seed {args.seed} --passes {args.passes}",
         "trees": {"base": args.base_label, "change": args.change_label},

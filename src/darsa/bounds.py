@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import ot
-from .weights import ClassWeights, as_features, as_labels, class_rows
+from .weights import ClassWeights, as_features, as_labels, as_parts, class_rows
 
 EXACT_TOL = 1e-12
 
@@ -137,9 +137,10 @@ def delta_c(parts: Sequence[np.ndarray]) -> float:
     """Variance-driven slack between the two discrepancy terms.
 
     Four times the square root of the largest per-part empirical
-    covariance trace. Parts with fewer than two samples contribute zero.
+    covariance trace. The parts share one feature space; parts with fewer
+    than two samples contribute zero.
     """
-    parts = [as_features(p, "parts") for p in parts if np.size(p)]
+    parts = [p for p in as_parts(parts, "parts")[0] if p.size]
     if not parts:
         raise ValueError("all parts empty")
     worst = 0.0

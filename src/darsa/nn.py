@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import ot
-from .weights import ClassWeights, as_features, as_labels, class_rows
+from .weights import ClassWeights, as_features, as_labels, as_parts, class_rows
 
 LEAKY_SLOPE = 0.01
 CHECKPOINT_FORMAT_VERSION = 1
@@ -406,16 +406,17 @@ def loss_inter(parts_s: Sequence[np.ndarray], parts_t: Sequence[np.ndarray]) -> 
     """Mean squared distance between paired per-class feature centroids.
 
     Classes empty on either side are skipped and counted; the mean runs
-    over the classes present on both sides. Gradients are returned per
-    class, shaped like the inputs.
+    over the classes present on both sides. The non-empty parts of both
+    lists share one feature space. Gradients are returned per class,
+    shaped like the inputs.
     """
     if len(parts_s) != len(parts_t):
         raise ValueError("source and target class lists differ in length")
     k = len(parts_s)
     if k < 1:
         raise ValueError("need at least one class")
-    parts_s = [as_features(p, "parts_s") for p in parts_s]
-    parts_t = [as_features(pt, "parts_t", ps.shape[1]) for ps, pt in zip(parts_s, parts_t)]
+    parts_s, d = as_parts(parts_s, "parts_s")
+    parts_t = as_parts(parts_t, "parts_t", d)[0]
     active, skipped = [], []
     for i, (ps, pt) in enumerate(zip(parts_s, parts_t)):
         (active if ps.size and pt.size else skipped).append(i)

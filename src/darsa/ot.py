@@ -4,8 +4,8 @@ Exact small-scale solvers, a Sinkhorn solver for entropic regularized
 transport (stabilized scaling with ε-scaling and adaptive
 over-relaxation; a stage opens with one exp pass from the carried
 potentials, and with a log-domain sweep only on underflow; large solves
-sweep in float32 and finish in float64, or start over in float64 where
-float32 sweeps would rebuild the kernel), Gaussian closed forms, and the
+sweep in float32 and finish in float64, and a float32 run that does not
+converge starts over as the float64 solve), Gaussian closed forms, and the
 mixture-level Wasserstein distance used to compare sub-domain
 decompositions.
 
@@ -33,7 +33,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from .weights import ClassWeights, as_features, class_rows
+from .weights import ClassWeights, as_features, as_parts, class_rows
 
 MARGINAL_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -376,8 +376,8 @@ def _sweeps(buffer, cost_r, a_r, b_r, reg, top, max_iter, tol, dtype):
     """The ε-scaling stages of ``sinkhorn`` on the reduced problem (largest
     cost ``top``) in ``dtype``: ``(u, v, iterations, residual, converged)``,
     with the float64 kernel K in ``buffer`` (the plan is u K v). A float32
-    run returns None where a float64 one rebuilds K: at an absorption, or
-    at an opening whose K has a row or column underflowing."""
+    run returns None unless it converges, and stops where a float64 one
+    rebuilds K (an absorption, or an opening with a row or column underflowing)."""
     # ε-scaling: solve first at reg * EPS_FACTOR**stages, where C/reg is at
     # most EPS_START, then anneal toward reg, each stage starting from the
     # previous stage's potentials. Every stage needs its opening sweep, so
@@ -502,8 +502,8 @@ def _sweeps(buffer, cost_r, a_r, b_r, reg, top, max_iter, tol, dtype):
             f = (f + np.log(u)) * EPS_FACTOR
             g = (g + np.log(v)) * EPS_FACTOR
 
-    if single:
-        _widen(buffer)  # max_iter ran out in float32 sweeps
+    if dtype is np.float32 and not converged:
+        return None
     return u, v, iterations, residual, converged
 
 
@@ -563,14 +563,14 @@ def sinkhorn(
     in the sweeps are float32; the cost, the potentials, the plan and its
     cost stay float64. The float32 kernel sits in the first half of the
     float64 buffer that becomes the plan, so no n×m array is added, and its
-    subnormal entries are set to zero. Float32 sweeps never rebuild the
-    kernel: where they would (an absorption, or an opening whose kernel
-    has a row or column underflowing), the solve starts over as the float64
-    solve, byte for byte, and ``iterations`` counts that run's sweeps. The
-    final stage's float32 sweeps stop at residual ``max(tol, F32_FLOOR)``;
-    the kernel is then widened in place and float64 sweeps go on from that
-    plan to ``tol``, so ``residual``, ``converged`` and the ``100 * tol``
-    rule are float64 measurements of the returned plan at every size.
+    subnormal entries are set to zero. The final stage's float32 sweeps
+    stop at residual ``max(tol, F32_FLOOR)``; the kernel is then widened in
+    place and float64 sweeps go on from that plan to ``tol``. Float32 work
+    is kept only when the solve converges: any other float32 run (one that
+    would rebuild the kernel, runs out of ``max_iter``, or does not reach
+    ``tol`` after the floor) starts over as the float64 solve, byte for
+    byte, with the whole ``max_iter``. So a float32-eligible solve either
+    converges, or returns or raises exactly as the float64 solve does.
     Smaller solves run in float64 throughout.
 
     A cost with negative entries is solved as ``C - min(C)``, which has the
@@ -873,17 +873,20 @@ def weighted_subdomain_w1(
     in class order, and reports each paired W1 in ``per_class``. A pair with
     an empty side contributes zero, has 0.0 in ``per_class`` and its index
     is reported in ``skipped``; minibatches under label shift routinely
-    miss classes, so this is not an error unless every pair is empty.
+    miss classes, so this is not an error unless every pair is empty. The
+    non-empty parts of both lists share one feature space.
     """
     if len(source_parts) != len(target_parts):
         raise ValueError("source and target part lists differ in length")
     if len(source_parts) != w_t.k:
         raise ValueError("weights do not match the number of sub-domains")
+    source_parts, d = as_parts(source_parts, "source_parts")
+    target_parts = as_parts(target_parts, "target_parts", d)[0]
     total = 0.0
     skipped = []
     per_class = [0.0] * w_t.k
     for k, (xs, xt) in enumerate(zip(source_parts, target_parts)):
-        if np.size(xs) == 0 or np.size(xt) == 0:
+        if xs.size == 0 or xt.size == 0:
             skipped.append(k)
             continue
         per_class[k] = w1_empirical(

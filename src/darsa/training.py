@@ -201,7 +201,7 @@ def predict(encoder: nn.NetworkParams, classifier: nn.NetworkParams, x) -> np.nd
 
 def accuracy(encoder, classifier, x, labels) -> float:
     predictions = predict(encoder, classifier, x)
-    return float(np.mean(predictions == as_labels(labels, n=predictions.size)))
+    return float(np.mean(predictions == as_labels(labels, classifier.out_dim, predictions.size)))
 
 
 def estimate_target_weights(
@@ -398,7 +398,7 @@ def fit(source: Dataset, target: Dataset, config: DarsaConfig, eval_labels=None)
     if source.k != target.k:
         raise ValueError("class cardinality mismatch")
     if eval_labels is not None:
-        eval_labels = as_labels(eval_labels, n=target.n)
+        eval_labels = as_labels(eval_labels, source.k, target.n)
 
     rng = np.random.default_rng(config.seed)
     encoder, classifier = default_networks(source.dim, source.k, config, rng)

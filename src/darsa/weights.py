@@ -4,8 +4,9 @@ Both domains carry a weight per sub-domain (class): the source weights are
 the empirical label proportions, the target weights are estimated from
 classifier predictions. Everything downstream (reweighted losses, the
 sub-domain discrepancy, the bound estimators) consumes these as a
-``ClassWeights`` value, reads its label vectors through ``as_labels`` and
-its feature matrices through ``as_features``.
+``ClassWeights`` value, reads its label vectors through ``as_labels``, its
+feature matrices through ``as_features`` and its per-class part lists
+through ``as_parts``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,18 @@ def as_features(x, name: str, d: int | None = None) -> np.ndarray:
     if d is not None and x.shape[1] != d:
         raise ValueError("feature spaces differ in dimension")
     return x
+
+
+def as_parts(parts, name: str, d: int | None = None) -> tuple:
+    """``(parts, d)``: each part of a per-class list through ``as_features``, and the
+    columns of their one feature space: ``d``, or the first non-empty part's. Empty
+    parts are not checked against it."""
+    out = []
+    for part in parts:
+        out.append(as_features(part, name, d if np.size(part) else None))
+        if d is None and out[-1].size:
+            d = out[-1].shape[1]
+    return out, d
 
 
 def as_labels(labels, k: int | None = None, n: int | None = None) -> np.ndarray:

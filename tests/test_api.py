@@ -1,15 +1,20 @@
-"""The public surface: exported names, and the solve path callers can wrap."""
+"""The public surface: exported names, the solve path callers can wrap, and
+the input checks of the solver, bound and weight modules."""
 
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import darsa
 from darsa import nn, ot, training
+from darsa.bounds import BoundReport, SubdomainPartition, source_risk, subdomain_risks
+from darsa.ot import GaussianComponent, GaussianMixture
 from darsa.weights import ClassWeights
 
 # Names exported by ``darsa/__init__.py``. The public API is fixed; code
@@ -88,3 +93,99 @@ def test_import_leaves_scipy_optimize_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+HALF = [0.5, 0.5]
+X = np.zeros((3, 2))
+POINT = GaussianComponent([0.0], [[1.0]])
+PLANE = GaussianComponent([0.0, 0.0], np.eye(2))
+LINE_MIX = GaussianMixture(ClassWeights([1.0]), (POINT,))
+PLANE_MIX = GaussianMixture(ClassWeights([1.0]), (PLANE,))
+# Each input check of ot, bounds and weights that no other test reaches: the
+# call, and the whole message it raises. Left out: a HiGHS failure in
+# ot_exact_discrete (the transport LP of a finite cost and valid marginals is
+# feasible and bounded), and _spd_sqrt's two raises, which guard the solver
+# calls of gaussian_w2 rather than an input (eigh returned NaN, not an error,
+# on the non-finite matrix an overflowing gaussian_w2 builds, and the PSD
+# check is reached only by a covariance at the edge of GaussianComponent's
+# tolerance).
+INPUT_CHECKS = {
+    "GaussianComponent[shape]": (
+        lambda: GaussianComponent([0.0, 0.0], [[1.0]]),
+        "covariance shape (1, 1) does not match dim 2",
+    ),
+    "GaussianComponent[non-finite]": (
+        lambda: GaussianComponent([np.nan], [[1.0]]), "non-finite value in Gaussian parameters"
+    ),
+    "GaussianMixture[k]": (
+        lambda: GaussianMixture(ClassWeights([1.0]), (POINT, POINT)),
+        "weights and components disagree on K",
+    ),
+    "GaussianMixture[dim]": (
+        lambda: GaussianMixture(ClassWeights(HALF), (POINT, PLANE)),
+        "components must share one dimension",
+    ),
+    "sinkhorn[marginal length]": (
+        lambda: ot.sinkhorn(np.ones((2, 2)), [1.0], HALF, 1.0),
+        "invalid marginals: a has length 1, expected 2",
+    ),
+    "sinkhorn[1-D cost]": (
+        lambda: ot.sinkhorn(np.ones(2), HALF, HALF, 1.0), "cost matrix must be a finite 2-D array"
+    ),
+    "ot_exact_discrete[1-D cost]": (
+        lambda: ot.ot_exact_discrete(np.ones(2), HALF, HALF), "cost matrix must be 2-D"
+    ),
+    "ot_exact_discrete[65 atoms]": (
+        lambda: ot.ot_exact_discrete(np.ones((65, 1)), np.full(65, 1 / 65), [1.0]),
+        "instance too large for exact solver: 65x1",
+    ),
+    "ot_exact_discrete[NaN cost]": (
+        lambda: ot.ot_exact_discrete([[0.0, np.nan], [1.0, 0.0]], HALF, HALF),
+        "non-finite value in cost matrix",
+    ),
+    "effective_reg": (lambda: ot.effective_reg(np.ones((2, 2)), 1.0, "x"), "unknown reg_mode 'x'"),
+    "w1_empirical[empty]": (lambda: ot.w1_empirical(np.empty((0, 2)), X), "empty sample set"),
+    "gaussian_w2[dim]": (
+        lambda: ot.gaussian_w2(POINT, PLANE), "dimension mismatch between Gaussians"
+    ),
+    "sample_gmm[n]": (lambda: ot.sample_gmm(LINE_MIX, 0, 0), "n must be positive"),
+    "pairwise_component_w1[dim]": (
+        lambda: ot.pairwise_component_w1(LINE_MIX, PLANE_MIX), "dimension mismatch between mixtures"
+    ),
+    "pairwise_component_w1[mode]": (
+        lambda: ot.pairwise_component_w1(LINE_MIX, LINE_MIX, "x"), "unknown pairwise mode 'x'"
+    ),
+    "weighted_subdomain_w1[lengths]": (
+        lambda: ot.weighted_subdomain_w1([X], [X, X], ClassWeights([1.0])),
+        "source and target part lists differ in length",
+    ),
+    "weighted_subdomain_w1[k]": (
+        lambda: ot.weighted_subdomain_w1([X, X], [X, X], ClassWeights([1.0])),
+        "weights do not match the number of sub-domains",
+    ),
+    "BoundReport[eps_c_partial]": (
+        lambda: BoundReport(0.1, 0.1, 0.2, 0.2, 0.0, 0.3, 0.5, 0),
+        "eps_c_partial does not reconstruct from its terms",
+    ),
+    "source_risk[empty]": (lambda: source_risk([], []), "empty inputs"),
+    "subdomain_risks[cover]": (
+        lambda: subdomain_risks([0, 1], [0, 1], SubdomainPartition([0], 2)),
+        "partition does not cover the samples",
+    ),
+    "ClassWeights[empty]": (lambda: ClassWeights([]), "class weights must be non-empty"),
+    "ClassWeights[negative]": (lambda: ClassWeights([1.5, -0.5]), "negative class weight"),
+    "ClassWeights[sum]": (
+        lambda: ClassWeights([0.25, 0.25]), "class weights sum to 0.5, expected 1"
+    ),
+    "ClassWeights.uniform": (lambda: ClassWeights.uniform(0), "need at least one class"),
+    "ClassWeights.from_labels": (
+        lambda: ClassWeights.from_labels([], 2), "empty label vector"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_check_raises_its_message(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

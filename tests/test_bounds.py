@@ -114,7 +114,7 @@ def test_decomposition_single_class():
 
 
 def test_delta_c_single_points():
-    assert delta_c([np.array([[1.0]]), np.array([[5.0, 2.0]])]) == 0.0
+    assert delta_c([np.array([[1.0, 3.0]]), np.array([[5.0, 2.0]])]) == 0.0
 
 
 def test_delta_c_dominant_1d_variance():

@@ -728,6 +728,75 @@ def test_sinkhorn_float32_restarts_as_the_float64_solve(monkeypatch, bound, prob
     assert fills.count(np.float32) == 1
 
 
+def _slow_draw(seed):
+    # A small problem at max(C)/reg from 1e3 to 1e4.2, annealed through
+    # several ε-stages, with a tol and a max_iter that often leave it
+    # unconverged.
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(2, 41, size=2)
+    d = rng.integers(1, 3)
+    x = rng.normal(size=(n, d))
+    y = rng.normal(size=(m, d)) + rng.normal(size=d)
+    cost = euclidean_cost_matrix(x, y)
+    a, b = rng.random(n) + 0.05, rng.random(m) + 0.05
+    a, b = a / a.sum(), b / b.sum()
+    reg = float(cost.max()) / 10.0 ** rng.uniform(3, 4.2)
+    tol = 10.0 ** rng.uniform(-9, -3)
+    max_iter = int(10.0 ** rng.uniform(2.5, 3.7))
+    return cost, a, b, reg, max_iter, tol
+
+
+@pytest.mark.parametrize(
+    "seed, floor",
+    [
+        pytest.param(31, False, id="budget-31"),
+        pytest.param(432, False, id="budget-432"),
+        pytest.param(218, True, id="floor-218"),
+        pytest.param(520, True, id="floor-520"),
+    ],
+)
+def test_sinkhorn_unconverged_float32_restarts_as_the_float64_solve(monkeypatch, seed, floor):
+    # Float32 work is kept only when the solve converges. Two of these draws
+    # run out of max_iter in float32 sweeps (and raised on the float32
+    # residual where the float64 solve ends unconverged), and two hand over
+    # at the floor but end unconverged in float64 (where the float64 solve
+    # converges). Each starts over as the float64 solve and returns it bit
+    # for bit; the kernel is widened only at the floor hand-over.
+    problem = _slow_draw(seed)
+    monkeypatch.setattr(ot, "F32_CELLS", math.inf)
+    want = _exact_outcome(*problem)
+    monkeypatch.setattr(ot, "F32_CELLS", 1)
+    calls, widens = [], []
+    sweep_arrays, widen = ot._sweep_arrays, ot._widen
+    monkeypatch.setattr(
+        ot, "_sweep_arrays", lambda *args: calls.append(args[3]) or sweep_arrays(*args)
+    )
+    monkeypatch.setattr(ot, "_widen", lambda buffer: widens.append(1) or widen(buffer))
+    assert _exact_outcome(*problem) == want
+    assert calls == [np.float32] + [float] * (1 + floor)
+    assert len(widens) == floor
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_ratio=st.floats(3.0, 4.2),
+    log_tol=st.floats(-9.0, -3.0),
+    max_iter=st.integers(300, 5000),
+)
+def test_sinkhorn_float32_converges_or_is_the_float64_solve(seed, log_ratio, log_tol, max_iter):
+    # Forced into float32, a slow solve either converges, or returns or
+    # raises exactly as the float64 solve does.
+    cost, a, b = _slow_draw(seed)[:3]
+    problem = (cost, a, b, float(cost.max()) / 10.0**log_ratio, max_iter, 10.0**log_tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ot, "F32_CELLS", 1)
+        got = _exact_outcome(*problem)
+        patch.setattr(ot, "F32_CELLS", math.inf)
+        want = _exact_outcome(*problem)
+    assert got == want or (got[0] != "diverged" and got[0].converged)
+
+
 def test_sinkhorn_does_not_return_a_nan_plan(monkeypatch):
     # A plan the sweeps leave NaN has no residual within 100 * tol: it raises.
     fill = ot._fill_kernel

@@ -25,7 +25,7 @@ from darsa.nn import (
     loss_inter,
     loss_intra,
 )
-from darsa.ot import euclidean_cost_matrix, w1_empirical, w1_exact_1d
+from darsa.ot import euclidean_cost_matrix, w1_empirical, w1_exact_1d, weighted_subdomain_w1
 from darsa.synthdata import Dataset
 from darsa.training import (
     DarsaConfig,
@@ -149,6 +149,24 @@ def test_label_entry_point_reads_whole_floats_as_ints(entry):
     np.testing.assert_equal(ENTRY_POINTS[entry](Y.astype(float)), ENTRY_POINTS[entry](Y))
 
 
+# Entries that know no class count: their labels are only compared.
+WITHOUT_K = {
+    "loss_intra", "source_risk[predictions]", "source_risk[labels]", "subdomain_risks",
+    "bound_report[predictions]",
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+@pytest.mark.parametrize("entry", [e for e in ENTRY_POINTS if e not in WITHOUT_K])
+def test_label_entry_point_rejects_a_label_outside_its_classes(entry, bad):
+    # A label outside 0..K-1 matches no prediction: accuracy and fit's
+    # target_accuracy used to count it as a miss and report 0.0.
+    labels = Y.copy()
+    labels[0] = bad
+    with pytest.raises(ValueError, match=r"^(label|assignment) outside 0\.\.1$"):
+        ENTRY_POINTS[entry](labels)
+
+
 # ---------------------------------------------------------------------------
 # as_features, and every public feature entry point
 # ---------------------------------------------------------------------------
@@ -172,6 +190,22 @@ FEATURE_ENTRY_POINTS = {
     "w1_exact_1d[samples_b]": (lambda x: w1_exact_1d(X1, x), X1, "samples_b"),
     "split_by_class": (lambda x: split_by_class(x, Y, 2), FEAT, "features"),
     "delta_c": (lambda x: delta_c([x, FEAT]), FEAT, "parts"),
+    "weighted_subdomain_w1[source_parts]": (
+        lambda x: weighted_subdomain_w1([x, FEAT], [FEAT + 0.5, FEAT], W, reg=0.05),
+        FEAT,
+        "source_parts",
+    ),
+    "weighted_subdomain_w1[target_parts]": (
+        lambda x: weighted_subdomain_w1([FEAT, FEAT], [x, FEAT + 0.5], W, reg=0.05),
+        FEAT,
+        "target_parts",
+    ),
+    # Cross-class: each pair holds one feature space, the two pairs differ.
+    "weighted_subdomain_w1[cross-class]": (
+        lambda x: weighted_subdomain_w1([FEAT, x], [FEAT + 0.5, x + 0.5], W, reg=0.05),
+        FEAT,
+        "source_parts",
+    ),
     "discrepancy_terms[source]": (
         lambda x: discrepancy_terms(x, Y, FEAT + 0.5, Y, W), FEAT, "source_features"
     ),
@@ -193,14 +227,18 @@ FEATURE_ENTRY_POINTS = {
     "loss_intra": (lambda x: loss_intra(x, Y, 1.0), FEAT, "features"),
     "loss_inter[parts_s]": (lambda x: loss_inter([x, FEAT], [FEAT + 0.5, FEAT]), FEAT, "parts_s"),
     "loss_inter[parts_t]": (lambda x: loss_inter([FEAT, FEAT], [x, FEAT + 0.5]), FEAT, "parts_t"),
+    "loss_inter[cross-class]": (
+        lambda x: loss_inter([FEAT, x], [FEAT + 0.5, x + 0.5]), FEAT, "parts_s"
+    ),
     "apply_models": (lambda x: apply_models(*NETS, x), FEAT, "x"),
     "predict": (lambda x: predict(*NETS, x), FEAT, "x"),
     "estimate_target_weights": (lambda x: estimate_target_weights(*NETS, x, 1e-3), FEAT, "x"),
     "Dataset": (lambda x: Dataset(x, Y, 2), FEAT, "features"),
 }
-# Where the matrix meets no other one: delta_c takes each part's variance
-# alone, and w1_exact_1d rejects a second column with its own message.
-ALONE = {"split_by_class", "delta_c", "loss_intra", "Dataset"}
+# Where the matrix meets no other one; w1_exact_1d rejects a second column
+# with its own message. A part list holds one feature space, so delta_c's
+# parts meet each other.
+ALONE = {"split_by_class", "loss_intra", "Dataset"}
 PAIRED = [e for e in FEATURE_ENTRY_POINTS if e not in ALONE and not e.startswith("w1_exact_1d")]
 
 
