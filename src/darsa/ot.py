@@ -9,6 +9,11 @@ converge starts over as the float64 solve), Gaussian closed forms, and the
 mixture-level Wasserstein distance used to compare sub-domain
 decompositions.
 
+scipy is imported where a solve needs it, never with the module:
+``cdist`` for a cost matrix with two or more columns (a one-column cost is
+computed in numpy, with the same bytes), ``logsumexp`` for a Sinkhorn stage
+whose opening underflows, and ``linprog`` for the exact discrete solver.
+
 Conventions
 -----------
 * Empirical clouds are ``(n, d)`` float arrays; the ground cost is always
@@ -30,13 +35,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .weights import ClassWeights, as_features, as_parts, class_rows
 
 MARGINAL_TOL = 1e-9
 PSD_TOL = 1e-9
+W2_EXP = 200  # gaussian_w2 rescales a pair whose scale is past 2**±this
 SCALING_BOUND = 1e20  # sinkhorn absorbs a scaling once |log u| or |log v| > 46
 EPS_FACTOR = 4  # sinkhorn's ε-scaling divides reg by this from stage to stage,
 EPS_START = 64  # starting at the smallest such reg with max(C)/reg at most this;
@@ -195,9 +199,19 @@ def _check_marginal(p, n: int, name: str) -> np.ndarray:
 
 
 def euclidean_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances between rows of two clouds."""
+    """Pairwise Euclidean distances between rows of two clouds. One column
+    is computed in numpy as ``cdist`` computes it, ``sqrt(0 + d*d)``, so the
+    bytes are ``cdist``'s (an overflow to inf included) and scipy is not
+    loaded; more columns go to ``cdist``."""
     x = as_features(x, "x")
-    return cdist(x, as_features(y, "y", x.shape[1]))
+    y = as_features(y, "y", x.shape[1])
+    if x.shape[1] == 1:
+        with np.errstate(over="ignore"):
+            cost = np.subtract(x, y.T)
+            np.multiply(cost, cost, out=cost)
+            return np.sqrt(cost, out=cost)
+    from scipy.spatial.distance import cdist  # slow to import; a 1-D cost does without it
+    return cdist(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +430,7 @@ def _sweeps(buffer, cost_r, a_r, b_r, reg, top, max_iter, tol, dtype):
             # log-domain potentials instead.
             if single:
                 return None
+            from scipy.special import logsumexp  # slow to import, and only needed here
             scaled = cost_r / -stage_reg
             f = np.log(a_r) - logsumexp(scaled + g, axis=1)
             g = np.log(b_r) - logsumexp(scaled + f[:, None], axis=0)
@@ -734,15 +749,10 @@ def w1_matrix(clouds_a, clouds_b, reg, max_iter, tol, reg_mode="absolute") -> np
 
 
 def _spd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition."""
-    sym = 0.5 * (mat + mat.T)
-    try:
-        vals, vecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("spd sqrt failure") from exc
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    if vals.min(initial=0.0) < -1e-8 * scale:
-        raise ValueError("spd sqrt failure: matrix not PSD")
+    """Symmetric PSD square root via eigendecomposition. Negative
+    eigenvalues count as zero: the callers pass validated covariances, whose
+    negative eigenvalues are within ``PSD_TOL``, or products of them."""
+    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
@@ -752,14 +762,32 @@ def gaussian_w2(p: GaussianComponent, q: GaussianComponent) -> float:
     W2^2 = |m1 - m2|^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2}).
     By Jensen's inequality this upper-bounds W1, which is how it is used
     inside the analytic mixture distance.
+
+    W2 scales with the mean gap and the covariances' square roots, so a pair
+    whose larger scale is past ``2**±W2_EXP`` is solved in units of the
+    power of two at that scale, where its products neither overflow nor
+    underflow; other pairs are solved as given. Negative eigenvalues of the
+    cross term count as zero, so the value is the same in either order.
+    A W2 past float64's range raises.
     """
     if p.dim != q.dim:
         raise ValueError("dimension mismatch between Gaussians")
-    mean_sq = float(np.sum((p.mean - q.mean) ** 2))
-    root_p = _spd_sqrt(p.covariance)
-    cross = _spd_sqrt(root_p @ q.covariance @ root_p)
-    bures = float(np.trace(p.covariance) + np.trace(q.covariance) - 2.0 * np.trace(cross))
-    return float(np.sqrt(max(mean_sq + bures, 0.0)))
+    with np.errstate(over="ignore"):  # a mean gap past float64 raises below
+        diff = p.mean - q.mean
+    cov_top = max(np.abs(c.covariance).max(initial=0.0) for c in (p, q))
+    k = math.frexp(max(np.abs(diff).max(initial=0.0), math.sqrt(cov_top)))[1]
+    k = k if abs(k) > W2_EXP else 0
+    diff = np.ldexp(diff, -k)
+    cov_p, cov_q = np.ldexp(p.covariance, -2 * k), np.ldexp(q.covariance, -2 * k)
+    mean_sq = float(np.sum(diff**2))
+    root_p = _spd_sqrt(cov_p)
+    cross = _spd_sqrt(root_p @ cov_q @ root_p)
+    bures = float(np.trace(cov_p) + np.trace(cov_q) - 2.0 * np.trace(cross))
+    with np.errstate(over="ignore"):
+        value = np.ldexp(np.sqrt(max(mean_sq + bures, 0.0)), k)
+    if not np.isfinite(value):
+        raise ValueError("W2 between the Gaussians overflows float64")
+    return float(value)
 
 
 def sample_gaussian(comp: GaussianComponent, n: int, rng: np.random.Generator) -> np.ndarray:

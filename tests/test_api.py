@@ -1,7 +1,8 @@
-"""The public surface: exported names, the solve path callers can wrap, and
-the input checks of the solver, bound and weight modules."""
+"""The public surface: exported names, the solve path callers can wrap, the
+scipy pieces each path loads, and the input checks of every module."""
 
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -12,9 +13,11 @@ import numpy as np
 import pytest
 
 import darsa
-from darsa import nn, ot, training
+from darsa import nn, ot, synthdata, training
 from darsa.bounds import BoundReport, SubdomainPartition, source_risk, subdomain_risks
 from darsa.ot import GaussianComponent, GaussianMixture
+from darsa.synthdata import Dataset
+from darsa.training import DarsaConfig
 from darsa.weights import ClassWeights
 
 # Names exported by ``darsa/__init__.py``. The public API is fixed; code
@@ -83,16 +86,40 @@ def test_solves_resolve_through_ot_module(monkeypatch):
     assert calls.count("euclidean_cost_matrix") == 3
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported on first use by the exact solvers; loading
-    # it with the package would add its import time to every CLI call.
-    code = "import sys, darsa; print('scipy.optimize' in sys.modules)"
+def _scipy_loaded_after(code):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    report = (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
     src = str(Path(darsa.__file__).parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code + report], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["darsa", "darsa.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    # Each scipy piece is imported on first use by the solve that needs it
+    # (cdist for a cost with two or more columns, logsumexp for an opening
+    # that underflows, linprog for the exact LP); loading scipy with the
+    # package would add its import time to every CLI call.
+    assert _scipy_loaded_after(f"import {module}") == []
+
+
+def test_one_dimensional_commands_leave_scipy_unloaded(tmp_path):
+    def cli(*argv):
+        return _scipy_loaded_after(f"from darsa.cli import main\nassert main({list(argv)!r}) == 0")
+
+    assert cli("figure1", "--n", "50", "--out", str(tmp_path / "figure1")) == []
+    assert cli("gen", "--task", "figure1", "--out", str(tmp_path / "gen")) == []
+    rng = np.random.default_rng(0)
+    for name in ("a", "b"):
+        np.savetxt(tmp_path / f"{name}.csv", rng.normal(size=(20, 2)), delimiter=",",
+                   header="f0,f1", comments="")
+    assert "scipy.spatial" in cli("ot", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"))
 
 
 HALF = [0.5, 0.5]
@@ -101,14 +128,28 @@ POINT = GaussianComponent([0.0], [[1.0]])
 PLANE = GaussianComponent([0.0, 0.0], np.eye(2))
 LINE_MIX = GaussianMixture(ClassWeights([1.0]), (POINT,))
 PLANE_MIX = GaussianMixture(ClassWeights([1.0]), (PLANE,))
-# Each input check of ot, bounds and weights that no other test reaches: the
-# call, and the whole message it raises. Left out: a HiGHS failure in
-# ot_exact_discrete (the transport LP of a finite cost and valid marginals is
-# feasible and bounded), and _spd_sqrt's two raises, which guard the solver
-# calls of gaussian_w2 rather than an input (eigh returned NaN, not an error,
-# on the non-finite matrix an overflowing gaussian_w2 builds, and the PSD
-# check is reached only by a covariance at the edge of GaussianComponent's
-# tolerance).
+LABELED = Dataset(X, [0, 1, 0], 2)
+UNLABELED = Dataset(X, None, 2)
+NET = nn.init_network([2, 2], ["relu"], np.random.default_rng(0))
+ZERO_GRADS = [(np.zeros((2, 2)), np.zeros(2))]
+
+
+def _shifted_gmm(**overrides):
+    params = dict(k=2, d=1, mean_separation=1.0, target_mean_shift=0.0,
+                  source_props=ClassWeights(HALF), target_props=ClassWeights(HALF),
+                  n_per_domain=10, sigma=0.1, seed=0)
+    return synthdata.make_shifted_gmm(**{**params, **overrides})
+
+
+def _backward_wrong_shape():
+    _, cache = nn.forward(NET, X)
+    return nn.backward(NET, cache, np.ones((3, 1)))
+
+
+# Each input check that no other test reaches: the call, and the whole
+# message it raises. The checks that read a CSV file are in test_cli.py.
+# Left out: a HiGHS failure in ot_exact_discrete (the transport LP of a
+# finite cost and valid marginals is feasible and bounded).
 INPUT_CHECKS = {
     "GaussianComponent[shape]": (
         lambda: GaussianComponent([0.0, 0.0], [[1.0]]),
@@ -180,6 +221,79 @@ INPUT_CHECKS = {
     "ClassWeights.uniform": (lambda: ClassWeights.uniform(0), "need at least one class"),
     "ClassWeights.from_labels": (
         lambda: ClassWeights.from_labels([], 2), "empty label vector"
+    ),
+    "Layer[shapes]": (
+        lambda: nn.Layer(np.ones((2, 3)), np.ones(3), "relu"), "layer weight/bias shapes disagree"
+    ),
+    "NetworkParams[empty]": (lambda: nn.NetworkParams(()), "network needs at least one layer"),
+    "init_network[activations]": (
+        lambda: nn.init_network([2, 3], [], np.random.default_rng(0)),
+        "need one activation per layer",
+    ),
+    "backward[upstream shape]": (
+        _backward_wrong_shape, "upstream gradient shape does not match network output"
+    ),
+    "sgd_momentum_step[momentum]": (
+        lambda: nn.sgd_momentum_step(NET, ZERO_GRADS, nn.zero_velocity(NET), 0.1, 1.0),
+        "momentum must be in [0, 1)",
+    ),
+    "loss_classification_weighted[k]": (
+        lambda: nn.loss_classification_weighted(
+            np.zeros((3, 2)), [0, 1, 0], ClassWeights([1.0]), ClassWeights(HALF)
+        ),
+        "class weight length does not match the logits",
+    ),
+    "loss_inter[lengths]": (
+        lambda: nn.loss_inter([X], [X, X]), "source and target class lists differ in length"
+    ),
+    "loss_inter[empty]": (lambda: nn.loss_inter([], []), "need at least one class"),
+    "DarsaConfig[margin]": (lambda: DarsaConfig(margin=0.0), "margin and lr must be positive"),
+    "DarsaConfig[sinkhorn]": (
+        lambda: DarsaConfig(sinkhorn_reg=0.0), "invalid sinkhorn parameters"
+    ),
+    "DarsaConfig[weight_floor]": (
+        lambda: DarsaConfig(weight_floor=0.0), "weight_floor must be positive"
+    ),
+    "DarsaConfig[snapshot_max]": (
+        lambda: DarsaConfig(snapshot_max=1), "snapshot_max must be at least 2"
+    ),
+    "estimate_target_weights[empty]": (
+        lambda: training.estimate_target_weights(NET, NET, np.empty((0, 2)), 0.1),
+        "empty target set",
+    ),
+    "pretrain[unlabeled]": (
+        lambda: training.pretrain(NET, NET, UNLABELED, DarsaConfig()),
+        "pretraining requires labeled source data",
+    ),
+    "fit[unlabeled]": (
+        lambda: training.fit(UNLABELED, LABELED, DarsaConfig()), "source dataset must be labeled"
+    ),
+    "fit[dim]": (
+        lambda: training.fit(LABELED, Dataset(np.zeros((3, 3)), None, 2), DarsaConfig()),
+        "feature spaces differ in dimension",
+    ),
+    "Dataset[k]": (lambda: Dataset(X, None, 0), "K must be positive"),
+    "Dataset.class_proportions": (
+        lambda: UNLABELED.class_proportions(), "dataset has no labels"
+    ),
+    "make_shifted_gmm[k]": (lambda: _shifted_gmm(k=0), "K and d must be positive"),
+    "make_shifted_gmm[sigma]": (
+        lambda: _shifted_gmm(sigma=0.0), "scale parameters must be positive"
+    ),
+    "make_shifted_gmm[props]": (
+        lambda: _shifted_gmm(k=3), "proportion vectors must have length K"
+    ),
+    "resample_with_props[unlabeled]": (
+        lambda: synthdata.resample_with_props(UNLABELED, ClassWeights(HALF), 4, 0),
+        "dataset has no labels",
+    ),
+    "resample_with_props[k]": (
+        lambda: synthdata.resample_with_props(LABELED, ClassWeights([1.0]), 4, 0),
+        "proportion vector does not match the dataset classes",
+    ),
+    "resample_with_props[n]": (
+        lambda: synthdata.resample_with_props(LABELED, ClassWeights(HALF), 0, 0),
+        "n must be positive",
     ),
 }
 

@@ -287,6 +287,38 @@ def test_header_only_csv_exits_two(figure1_csvs, tmp_path, capsys):
     assert not (tmp_path / "bounds").exists()
 
 
+# Each CSV input check that no other test reaches: the files, the command,
+# and the whole message; ``{dir}`` stands for the files' directory.
+BOUNDS_ARGV = ["bounds", "--source", "{dir}/s.csv", "--target", "{dir}/t.csv", "--out", "{dir}/out"]
+CSV_INPUT_CHECKS = {
+    "empty file": (
+        {"a.csv": ""}, ["ot", "{dir}/a.csv", "{dir}/a.csv"], "empty CSV file: {dir}/a.csv"
+    ),
+    "ragged row": (
+        {"a.csv": "f0,f1\n1,2\n3\n"}, ["ot", "{dir}/a.csv", "{dir}/a.csv"],
+        "ragged CSV row in {dir}/a.csv",
+    ),
+    "bounds source without labels": (
+        {"s.csv": "f0\n1\n", "t.csv": "f0,label\n1,0\n"}, BOUNDS_ARGV,
+        "CSV has no label column: {dir}/s.csv",
+    ),
+    "bounds target without labels": (
+        {"s.csv": "f0,label\n1,0\n", "t.csv": "f0\n1\n"}, BOUNDS_ARGV,
+        "target CSV needs labels when no checkpoint is given",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CSV_INPUT_CHECKS))
+def test_csv_input_check_exits_two_with_its_message(tmp_path, capsys, case):
+    files, argv, message = CSV_INPUT_CHECKS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(dir=tmp_path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,label\n1,2,0\n")

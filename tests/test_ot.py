@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from darsa import ot
@@ -55,6 +56,44 @@ FIGURE1_TARGET = GaussianMixture(
         GaussianComponent(np.array([1.6]), np.array([[0.0025]])),
     ),
 )
+
+
+# ---------------------------------------------------------------------------
+# euclidean_cost_matrix
+# ---------------------------------------------------------------------------
+
+# Coordinates of magnitude 1e-170 to 1e200, either sign: differences whose
+# squares overflow to inf, are subnormal, or underflow to zero.
+COORDS_1D = st.lists(
+    st.builds(lambda sign, exp: sign * 10.0**exp, st.sampled_from([-1.0, 1.0]),
+              st.floats(-170.0, 200.0)),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(COORDS_1D, COORDS_1D)
+@example([1e200, 1e-160], [-1e200, -1e-161, 1e-170])
+def test_cost_matrix_1d_equals_cdist(xs, ys):
+    # One column is computed without scipy, with cdist's bytes: inf where
+    # the square overflows, subnormal squares kept, and no RuntimeWarning.
+    x, y = np.array(xs)[:, None], np.array(ys)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cost = euclidean_cost_matrix(x, y)
+    assert np.array_equal(cost, cdist(x, y))
+
+
+def test_cost_matrix_1d_inf_and_subnormal_square():
+    cost = euclidean_cost_matrix([[1e200], [1e-160]], [[-1e200], [-1e-161]])
+    assert cost[0, 0] == np.inf and 0.0 < cost[1, 1] ** 2 < np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_cost_matrix_multi_column_equals_cdist(d):
+    rng = np.random.default_rng(d)
+    x, y = rng.normal(size=(30, d)) * 1e100, rng.normal(size=(17, d))
+    assert np.array_equal(euclidean_cost_matrix(x, y), cdist(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -1074,6 +1113,41 @@ def test_gaussian_w2_variance_difference():
     a = GaussianComponent(np.array([0.0]), np.array([[0.04]]))
     b = GaussianComponent(np.array([0.0]), np.array([[0.09]]))
     assert gaussian_w2(a, b) == pytest.approx(0.1, abs=1e-9)
+
+
+def test_gaussian_w2_large_covariances_finite():
+    # Unscaled, the cross term of these overflowed and W2 came out NaN.
+    comp = GaussianComponent([0.0, 0.0], np.diag([1e300, 1e300]))
+    assert gaussian_w2(comp, comp) == pytest.approx(0.0, abs=1e-8 * 1e150)
+    wide = GaussianComponent([0.0, 0.0], np.diag([4e300, 4e300]))
+    assert gaussian_w2(comp, wide) == pytest.approx(math.sqrt(2) * 1e150, rel=1e-12)
+
+
+def test_gaussian_w2_tiny_covariances_keep_precision():
+    # Unscaled, the cross term underflowed to zero and W2 read 2.2e-100.
+    a = GaussianComponent([0.0], [[1e-200]])
+    b = GaussianComponent([0.0], [[4e-200]])
+    assert gaussian_w2(a, b) == pytest.approx(1e-100, rel=1e-12)
+
+
+def test_gaussian_w2_psd_edge_symmetric():
+    # q's eigenvalue -1e-9 is within PSD_TOL; p's 1e12 scales it to -1e3 in
+    # the cross term, which counts as zero in either order.
+    p = GaussianComponent([0.0, 0.0], np.diag([1.0, 1e12]))
+    q = GaussianComponent([0.0, 0.0], np.diag([1.0, -1e-9]))
+    assert gaussian_w2(p, q) == gaussian_w2(q, p) == pytest.approx(1e6, rel=1e-12)
+
+
+def test_gaussian_w2_large_mean_gap():
+    near = GaussianComponent([0.0, 0.0], np.eye(2))
+    assert gaussian_w2(near, GaussianComponent([1e200, 0.0], np.eye(2))) == pytest.approx(1e200)
+    assert gaussian_w2(near, GaussianComponent([1e308, 1e308], np.eye(2))) == pytest.approx(
+        math.sqrt(2) * 1e308
+    )
+    with pytest.raises(ValueError, match="^W2 between the Gaussians overflows float64$"):
+        gaussian_w2(near, GaussianComponent([1.5e308, 1.5e308], np.eye(2)))
+    with pytest.raises(ValueError, match="^W2 between the Gaussians overflows float64$"):
+        gaussian_w2(GaussianComponent([-1e308], [[1.0]]), GaussianComponent([1e308], [[1.0]]))
 
 
 def test_gaussian_component_validation():
