@@ -15,26 +15,21 @@ each call is timed in process CPU time with BLAS and OpenMP pinned to one
 thread. The workloads run on the ``--change`` tree.
 
 The report, printed and written as JSON, gives per workload and per size
-class (``small``: both sides under 256 atoms; ``float32``: at least
-``F32_CELLS`` cells once zero-mass atoms are dropped, the solves the change
-tree's ``sinkhorn`` sweeps in float32; ``large``: the rest): solves, sweeps
-and cells (sweeps times n times m, as perfbench counts them), the median,
-lowest and highest CPU seconds over the passes, ns per cell at the median,
-the unconverged count (diverged solves included), and how many solves the
-two trees return bit for bit alike: iterations, residual, convergence flag,
-cost and coupling, or the same divergence. Over the solves that are not
-alike and return a plan on both trees, it also gives the largest cost change
-over tol times the largest cost, and each tree's largest
-``marginal_residual()`` over tol. For the float32 class it also counts how
-the change tree's solves leave float32, from one more untimed run of each
-with ``ot._sweep_arrays`` and ``ot._widen`` wrapped: ``restart``, the
-float32 run did not converge and the solve started over as the float64
-solve (at an absorption or an opening that underflows, when ``max_iter``
-ran out, or when the float64 sweeps after the floor ended unconverged);
-``floor``, the last stage's floor hand-over (a widen, then float64 sweeps
-that converge); ``float64``, a solve that never sweeps in float32 (a mass
-below ``F32_MASS``). Replay numbers are evidence for a solver change, never
-a test gate.
+class (``small``: both sides under 256 atoms; ``float32``: the other solves
+that the change tree's ``sinkhorn`` sweeps in float32, by the
+``SinkhornInfo.float32_exit`` of the capture run; ``large``: the rest):
+solves, sweeps and cells (sweeps times n times m, as perfbench counts them),
+the median, lowest and highest CPU seconds over the passes, ns per cell at
+the median, the unconverged count (diverged solves included), and how many
+solves the two trees return bit for bit alike: iterations, residual,
+convergence flag, cost and coupling, or the same divergence. Over the solves
+that are not alike and return a plan on both trees, it also gives the
+largest cost change over tol times the largest cost, and each tree's largest
+``marginal_residual()`` over tol. For the float32 class it also counts the
+capture run's exits: ``restart`` and ``floor`` (see ``sinkhorn``), and
+``diverged``, a solve that raised and so has no info (it is put in the
+float32 class). Replay numbers are evidence for a solver change, never a
+test gate.
 """
 
 from __future__ import annotations
@@ -76,13 +71,13 @@ class Solve(NamedTuple):
     reg: float
     max_iter: int
     tol: float
+    float32_exit: str  # the change tree's SinkhornInfo.float32_exit, or "diverged"
 
-    def size_class(self, f32_cells: int) -> str:
+    @property
+    def size_class(self) -> str:
         if max(self.cost.shape) < SMALL_SIDE:
             return "small"
-        if np.count_nonzero(self.a) * np.count_nonzero(self.b) >= f32_cells:
-            return "float32"
-        return "large"
+        return "large" if self.float32_exit == "float64" else "float32"
 
 
 def parse_args(argv=None):
@@ -123,9 +118,16 @@ def capture(workload_name: str, seed: int, change_src: Path) -> list:
     solver = darsa.ot.sinkhorn
 
     def recording(cost_matrix, a, b, reg, max_iter=1000, tol=1e-6, return_info=False):
-        solves.append(Solve(np.array(cost_matrix, dtype=float, order="K"), np.array(a, dtype=float),
-                            np.array(b, dtype=float), float(reg), int(max_iter), float(tol)))
-        return solver(cost_matrix, a, b, reg, max_iter=max_iter, tol=tol, return_info=return_info)
+        inputs = (np.array(cost_matrix, dtype=float, order="K"), np.array(a, dtype=float),
+                  np.array(b, dtype=float), float(reg), int(max_iter), float(tol))
+        try:
+            plan, info = solver(cost_matrix, a, b, reg, max_iter=max_iter, tol=tol,
+                                return_info=True)
+        except darsa.ot.SinkhornDivergenceError:
+            solves.append(Solve(*inputs, "diverged"))
+            raise
+        solves.append(Solve(*inputs, info.float32_exit))
+        return (plan, info) if return_info else plan
 
     with tempfile.TemporaryDirectory() as workdir:
         workload = workloads.WORKLOADS[workload_name](Path(workdir), seed, RUN_SECONDS, False)
@@ -154,10 +156,10 @@ def solve_once(ot, solve: Solve):
                      float(plan.cost).hex(), digest, plan.marginal_residual())
 
 
-def replay(solves: list, trees: dict, passes: int, f32_cells: int) -> dict:
+def replay(solves: list, trees: dict, passes: int) -> dict:
     """Per tree and size class: CPU seconds of each pass, sweeps, unconverged; and matches."""
     labels = list(trees)
-    classes = [s.size_class(f32_cells) for s in solves]
+    classes = [s.size_class for s in solves]
     groups = {g: [i for i, c in enumerate(classes) if c == g] for g in ("small", "large", "float32")}
     cpu = {label: {g: [0] * passes for g in groups} for label in labels}
     outcomes = {label: [None] * len(solves) for label in labels}
@@ -212,45 +214,11 @@ def replay(solves: list, trees: dict, passes: int, f32_cells: int) -> dict:
                     label: float(f"{max(outcomes[label][i][5] / solves[i].tol for i in differ):.4g}")
                     for label in labels},
             }
+        if group == "float32":
+            entry["exits"] = {how: sum(solves[i].float32_exit == how for i in members)
+                              for how in ("restart", "floor", "diverged")}
         report[group] = entry
     return report
-
-
-def float32_exits(ot, solves: list) -> dict:
-    """How each solve leaves float32 in ``ot.sinkhorn``: counts of ``restart``,
-    ``floor`` and ``float64`` (see the module docstring)."""
-    counts = dict.fromkeys(("restart", "floor", "float64"), 0)
-    events = []
-    sweep_arrays, widen = ot._sweep_arrays, ot._widen
-
-    def arrays(*args):
-        events.append(np.dtype(args[3]).name)
-        return sweep_arrays(*args)
-
-    def widening(buffer):
-        events.append("widen")
-        return widen(buffer)
-
-    ot._sweep_arrays, ot._widen = arrays, widening
-    try:
-        for solve in solves:
-            events.clear()
-            try:
-                ot.sinkhorn(solve.cost, solve.a, solve.b, solve.reg,
-                            max_iter=solve.max_iter, tol=solve.tol)
-            except ot.SinkhornDivergenceError:
-                pass
-            # The floor hand-over widens, then makes float64 arrays; a
-            # restart makes float64 arrays with no widen before them.
-            if events[0] != "float32":
-                counts["float64"] += 1
-            elif events.count("float64") > events.count("widen"):
-                counts["restart"] += 1
-            else:
-                counts["floor"] += 1
-    finally:
-        ot._sweep_arrays, ot._widen = sweep_arrays, widen
-    return counts
 
 
 def main(argv=None) -> int:
@@ -261,14 +229,9 @@ def main(argv=None) -> int:
     trees = {args.base_label: load_ot(Path(args.base).resolve(), "replay_base"),
              args.change_label: load_ot(change_src, "replay_change")}
     results = {}
-    # The change tree's float32 threshold; a tree without one has none.
-    f32_cells = getattr(trees[args.change_label], "F32_CELLS", float("inf"))
     for name in args.workloads:
         solves = capture(name, args.seed, change_src)
-        results[name] = replay(solves, trees, args.passes, f32_cells)
-        if "float32" in results[name]:
-            results[name]["float32"]["exits"] = float32_exits(
-                trees[args.change_label], [s for s in solves if s.size_class(f32_cells) == "float32"])
+        results[name] = replay(solves, trees, args.passes)
         del solves
         for group, entry in results[name].items():
             cpu = " ".join(f"{label} {entry['cpu_s'][label]['median']:.4f} s"
@@ -293,11 +256,10 @@ def main(argv=None) -> int:
                  "differing covers the other solves that return a plan on both trees: the "
                  "largest |cost change| / (tol max C) and each tree's largest "
                  "marginal_residual() / tol. Size classes: small, both sides under "
-                 f"{SMALL_SIDE} atoms; float32, at least F32_CELLS ({f32_cells}) cells of "
-                 "positive mass; large, the rest. exits counts how the change tree's "
-                 "float32-class solves leave float32: restart, the float32 run did not "
-                 "converge and the solve started over as the float64 solve; floor, the last "
-                 "stage's floor hand-over, converged; float64, never in float32.",
+                 f"{SMALL_SIDE} atoms; float32, the other solves whose SinkhornInfo.float32_exit "
+                 "on the change tree is not float64, or that raised; large, the rest. exits "
+                 "counts those float32_exit values (restart, floor) and the solves that "
+                 "raised (diverged).",
         "command": "python3 benchmarks/replay.py --base <base src> --change <change src> "
                    f"--seed {args.seed} --passes {args.passes}",
         "trees": {"base": args.base_label, "change": args.change_label},

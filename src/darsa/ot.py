@@ -120,7 +120,9 @@ class GaussianComponent:
             raise ValueError(f"covariance shape {cov.shape} does not match dim {d}")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("non-finite value in Gaussian parameters")
-        if np.abs(cov - cov.T).max(initial=0.0) > PSD_TOL:
+        with np.errstate(over="ignore"):  # an inf gap is not symmetric either
+            gap = np.abs(cov - cov.T).max(initial=0.0)
+        if gap > PSD_TOL:
             raise ValueError("covariance not symmetric")
         if np.linalg.eigvalsh(cov).min(initial=0.0) < -PSD_TOL:
             raise ValueError("covariance not positive semi-definite")
@@ -176,6 +178,7 @@ class SinkhornInfo(NamedTuple):
     iterations: int
     residual: float
     converged: bool
+    float32_exit: str  # "float64", "floor" or "restart"; see sinkhorn
 
 
 class WeightedSubdomainW1(NamedTuple):
@@ -586,7 +589,9 @@ def sinkhorn(
     ``tol`` after the floor) starts over as the float64 solve, byte for
     byte, with the whole ``max_iter``. So a float32-eligible solve either
     converges, or returns or raises exactly as the float64 solve does.
-    Smaller solves run in float64 throughout.
+    Smaller solves run in float64 throughout. ``SinkhornInfo.float32_exit``
+    says which: ``"float64"`` (never swept in float32), ``"floor"`` (float32
+    to the floor hand-over, then converged in float64) or ``"restart"``.
 
     A cost with negative entries is solved as ``C - min(C)``, which has the
     same plans. Returns the coupling as a :class:`TransportPlan`; the
@@ -662,7 +667,8 @@ def sinkhorn(
         if not residual <= 100 * tol:  # NaN included
             raise SinkhornDivergenceError(residual, iterations)
     if return_info:
-        return plan, SinkhornInfo(iterations, residual, converged)
+        float32_exit = "floor" if solved else "restart" if single else "float64"
+        return plan, SinkhornInfo(iterations, residual, converged, float32_exit)
     return plan
 
 
@@ -756,6 +762,13 @@ def _spd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
+def _scale_exp(gap: float, cov_top: float) -> int:
+    """The power of two in whose units a Gaussian problem is solved: the
+    exponent of ``max(gap, sqrt(cov_top))`` if past ``2**±W2_EXP``, else 0."""
+    k = math.frexp(max(gap, math.sqrt(cov_top)))[1]
+    return k if abs(k) > W2_EXP else 0
+
+
 def gaussian_w2(p: GaussianComponent, q: GaussianComponent) -> float:
     """Closed-form W2 between two Gaussians (Bures metric on covariances).
 
@@ -775,8 +788,7 @@ def gaussian_w2(p: GaussianComponent, q: GaussianComponent) -> float:
     with np.errstate(over="ignore"):  # a mean gap past float64 raises below
         diff = p.mean - q.mean
     cov_top = max(np.abs(c.covariance).max(initial=0.0) for c in (p, q))
-    k = math.frexp(max(np.abs(diff).max(initial=0.0), math.sqrt(cov_top)))[1]
-    k = k if abs(k) > W2_EXP else 0
+    k = _scale_exp(np.abs(diff).max(initial=0.0), cov_top)
     diff = np.ldexp(diff, -k)
     cov_p, cov_q = np.ldexp(p.covariance, -2 * k), np.ldexp(q.covariance, -2 * k)
     mean_sq = float(np.sum(diff**2))
@@ -791,13 +803,18 @@ def gaussian_w2(p: GaussianComponent, q: GaussianComponent) -> float:
 
 
 def sample_gaussian(comp: GaussianComponent, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n samples from one Gaussian component."""
+    """Draw n samples from one Gaussian component. A covariance whose
+    scale is past ``2**±W2_EXP`` is factored in units of that power of two,
+    as in :func:`gaussian_w2`."""
+    k = _scale_exp(0.0, np.abs(comp.covariance).max(initial=0.0))
+    cov = np.ldexp(comp.covariance, -2 * k)
     try:
-        factor = np.linalg.cholesky(comp.covariance)
+        factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         # Singular but PSD covariances (validated at construction) still
         # need a factor; fall back to the eigendecomposition root.
-        factor = _spd_sqrt(comp.covariance)
+        factor = _spd_sqrt(cov)
+    factor = np.ldexp(factor, k)
     z = rng.standard_normal((n, comp.dim))
     return comp.mean[None, :] + z @ factor.T
 

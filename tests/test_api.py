@@ -52,6 +52,12 @@ def test_sinkhorn_signature():
     assert params["return_info"].default is False
 
 
+def test_sinkhorn_info_fields():
+    # Callers read a solve's info by field name; float32_exit says how the
+    # solve left float32 ("float64", "floor" or "restart").
+    assert ot.SinkhornInfo._fields == ("iterations", "residual", "converged", "float32_exit")
+
+
 def test_fit_signature():
     # fit builds its own networks; a caller sets only the data, config and
     # evaluation labels.
@@ -157,6 +163,11 @@ INPUT_CHECKS = {
     ),
     "GaussianComponent[non-finite]": (
         lambda: GaussianComponent([np.nan], [[1.0]]), "non-finite value in Gaussian parameters"
+    ),
+    # cov - cov.T overflows here; the inf gap is reported, not the overflow.
+    "GaussianComponent[symmetric]": (
+        lambda: GaussianComponent([0.0, 0.0], [[1.0, 1e308], [-1e308, 1.0]]),
+        "covariance not symmetric",
     ),
     "GaussianMixture[k]": (
         lambda: GaussianMixture(ClassWeights([1.0]), (POINT, POINT)),
