@@ -188,7 +188,7 @@ def _task_datasets(task: dict, seed: int):
         source, target = _load_dataset(task["source"], need_labels=True), _load_dataset(task["target"])
         return source, Dataset(target.features, target.labels, source.k)
     params = {
-        key: ClassWeights(np.asarray(task[key], dtype=float)) if kind == "tuple" else task[key]
+        key: ClassWeights(task[key]) if kind == "tuple" else task[key]
         for key, kind in _TASKS[name].items()
     }
     return (make_figure1_task if name == "figure1" else make_shifted_gmm)(**params, seed=seed)
@@ -273,7 +273,7 @@ def _props_arg(text: str, flag: str) -> list:
     props = json.loads(text)
     if not training.has_kind(props, "tuple"):
         raise ValueError(f"{flag} must be a JSON array of numbers, got {text}")
-    return ClassWeights(np.asarray(props, dtype=float)).w.tolist()
+    return ClassWeights(props).w.tolist()
 
 
 def cmd_gen(args) -> int:

@@ -46,6 +46,13 @@ class GradientBlowupError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def check_format_version(obj: dict) -> None:
+    """Raise unless a checkpoint object carries ``CHECKPOINT_FORMAT_VERSION``."""
+    version = obj.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format version {version!r}")
+
+
 @dataclass(frozen=True)
 class Layer:
     weight: np.ndarray  # (out, in)
@@ -107,9 +114,7 @@ class NetworkParams:
 
     @staticmethod
     def from_dict(obj: dict) -> "NetworkParams":
-        version = obj.get("format_version")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version!r}")
+        check_format_version(obj)
         layers = []
         for spec in obj["layers"]:
             out_dim, in_dim = spec["shape"]

@@ -18,8 +18,10 @@ Conventions
 -----------
 * Empirical clouds are ``(n, d)`` float arrays; the ground cost is always
   the Euclidean norm, so all empirical estimates target Wasserstein-1.
-* Probability vectors must sum to one. Zero-mass atoms are allowed and are
-  sliced out before iterating.
+* Probability vectors (marginals and mixture weights) are checked by
+  ``weights.as_simplex``, and both solvers check their cost matrix and
+  marginals in one place, ``_transport_problem``. Zero-mass atoms are
+  allowed; ``sinkhorn`` slices them out before iterating.
 * Every solver returns a :class:`TransportPlan`; the reported ``cost`` is
   the transport cost of the returned coupling (the entropy term is never
   included).
@@ -36,9 +38,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .weights import ClassWeights, as_features, as_parts, class_rows
+from .weights import ClassWeights, as_features, as_parts, as_simplex, class_rows
 
-MARGINAL_TOL = 1e-9
 PSD_TOL = 1e-9
 W2_EXP = 200  # gaussian_w2 rescales a pair whose scale is past 2**±this
 SCALING_BOUND = 1e20  # sinkhorn absorbs a scaling once |log u| or |log v| > 46
@@ -59,7 +60,8 @@ PAST_OPTIMUM = 0.1  # and goes plain when a relaxed rate is within this of ω - 
 
 
 class SinkhornDivergenceError(RuntimeError):
-    """Sinkhorn failed to reduce the marginal violation below 100x tol."""
+    """Sinkhorn failed to reduce the marginal violation below 100x tol, or below 100x
+    float64's eps, the rounding floor, when tol is smaller."""
 
     def __init__(self, residual: float, iterations: int):
         self.residual = float(residual)
@@ -171,7 +173,7 @@ class GaussianMixture:
             GaussianComponent(np.asarray(c["mean"]), np.asarray(c["covariance"]))
             for c in obj["components"]
         )
-        return GaussianMixture(ClassWeights(np.asarray(obj["weights"])), comps)
+        return GaussianMixture(ClassWeights(obj["weights"]), comps)
 
 
 class SinkhornInfo(NamedTuple):
@@ -192,13 +194,23 @@ class WeightedSubdomainW1(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _check_marginal(p, n: int, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float).reshape(-1)
-    if p.size != n:
-        raise ValueError(f"invalid marginals: {name} has length {p.size}, expected {n}")
-    if np.any(p < -MARGINAL_TOL) or abs(float(p.sum()) - 1.0) > MARGINAL_TOL:
-        raise ValueError(f"invalid marginals: {name} is not a probability vector")
-    return np.maximum(p, 0.0)
+def _transport_problem(cost_matrix, a, b):
+    """``(cost, a, b, max C, min C)``: a finite 2-D cost and marginals of its shape."""
+    cost = np.asarray(cost_matrix, dtype=float)
+    if cost.ndim != 2:
+        raise ValueError("cost matrix must be a finite 2-D array")
+    a = as_simplex(a, "marginal a", cost.shape[0])
+    b = as_simplex(b, "marginal b", cost.shape[1])
+    # max and min propagate NaN, so they check finiteness without an n×m mask.
+    top, low = float(cost.max()), float(cost.min())
+    if not (math.isfinite(top) and math.isfinite(low)):
+        raise ValueError("cost matrix must be a finite 2-D array")
+    return cost, a, b, top, low
+
+
+def _plan(coupling, a, b, cost) -> TransportPlan:
+    """The plan of a coupling and its transport cost ⟨coupling, cost⟩."""
+    return TransportPlan(coupling, a, b, float(np.einsum("ij,ij->", coupling, cost)))
 
 
 def euclidean_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -249,16 +261,10 @@ def ot_exact_discrete(cost_matrix, a, b) -> TransportPlan:
     Intended as the ground-truth oracle against which the entropic solver
     is validated; instances are capped at 64 atoms per side.
     """
-    cost = np.asarray(cost_matrix, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError("cost matrix must be 2-D")
+    cost, a, b, _, _ = _transport_problem(cost_matrix, a, b)
     n, m = cost.shape
     if n > 64 or m > 64:
         raise ValueError(f"instance too large for exact solver: {n}x{m}")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("non-finite value in cost matrix")
-    a = _check_marginal(a, n, "a")
-    b = _check_marginal(b, m, "b")
 
     from scipy.optimize import linprog  # slow to import, and only this solver uses it
     # Row-sum and column-sum equality constraints over the flattened plan.
@@ -274,13 +280,7 @@ def ot_exact_discrete(cost_matrix, a, b) -> TransportPlan:
     )
     if not res.success:
         raise RuntimeError(f"exact transport LP failed: {res.message}")
-    coupling = np.maximum(res.x.reshape(n, m), 0.0)
-    return TransportPlan(
-        coupling=coupling,
-        row_marginal=a,
-        col_marginal=b,
-        cost=float(np.einsum("ij,ij->", coupling, cost)),
-    )
+    return _plan(np.maximum(res.x.reshape(n, m), 0.0), a, b, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -601,20 +601,17 @@ def sinkhorn(
 
     Raises
     ------
+    ValueError
+        If the cost is not a finite 2-D array, a marginal is not a
+        probability vector of its length (``_transport_problem``), or reg,
+        ``max_iter`` or ``tol`` is out of range.
     SinkhornDivergenceError
         If ``max_iter`` is reached with a marginal violation above
-        ``100 * tol``.
+        ``100 * max(tol, eps)``, eps being float64's. A violation within
+        ``100 * eps`` is rounding, so a tol below it returns unconverged.
     """
-    cost = np.asarray(cost_matrix, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError("cost matrix must be a finite 2-D array")
+    cost, a, b, top, low = _transport_problem(cost_matrix, a, b)
     n, m = cost.shape
-    a = _check_marginal(a, n, "a")
-    b = _check_marginal(b, m, "b")
-    # max and min propagate NaN, so they check finiteness without an n×m mask.
-    top, low = float(cost.max()), float(cost.min())
-    if not (math.isfinite(top) and math.isfinite(low)):
-        raise ValueError("cost matrix must be a finite 2-D array")
     # Checked after the cost: a relative reg resolved against a NaN cost is NaN.
     if not 0 < reg < math.inf:
         raise ValueError("reg must be positive and finite")
@@ -656,15 +653,10 @@ def sinkhorn(
     if not full:
         coupling = np.zeros((n, m))
         coupling[np.ix_(rows, cols)] = buffer
-    plan = TransportPlan(
-        coupling=coupling,
-        row_marginal=a,
-        col_marginal=b,
-        cost=float(np.einsum("ij,ij->", coupling, cost)),
-    )
+    plan = _plan(coupling, a, b, cost)
     if not converged:
         residual = plan.marginal_residual()
-        if not residual <= 100 * tol:  # NaN included
+        if not residual <= 100 * max(tol, np.finfo(float).eps):  # NaN included
             raise SinkhornDivergenceError(residual, iterations)
     if return_info:
         float32_exit = "floor" if solved else "restart" if single else "float64"

@@ -129,7 +129,7 @@ def _isotropic_mixture(means: np.ndarray, weights, sigma: float) -> ot.GaussianM
     comps = tuple(
         ot.GaussianComponent(m, sigma**2 * np.eye(d)) for m in means
     )
-    return ot.GaussianMixture(ClassWeights(np.asarray(weights, dtype=float)), comps)
+    return ot.GaussianMixture(ClassWeights(weights), comps)
 
 
 def make_figure1_task(sigma: float, n_per_domain: int, seed: int):

@@ -142,6 +142,7 @@ class DarsaModels:
 
     @staticmethod
     def from_dict(obj: dict) -> "DarsaModels":
+        nn.check_format_version(obj)
         return DarsaModels(*(nn.NetworkParams.from_dict(obj[f.name]) for f in fields(DarsaModels)))
 
 

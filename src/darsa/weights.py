@@ -4,9 +4,9 @@ Both domains carry a weight per sub-domain (class): the source weights are
 the empirical label proportions, the target weights are estimated from
 classifier predictions. Everything downstream (reweighted losses, the
 sub-domain discrepancy, the bound estimators) consumes these as a
-``ClassWeights`` value, reads its label vectors through ``as_labels``, its
-feature matrices through ``as_features`` and its per-class part lists
-through ``as_parts``.
+``ClassWeights`` value. Label vectors are read through ``as_labels``, feature
+matrices through ``as_features``, per-class part lists through ``as_parts``
+and probability vectors (class weights, transport marginals) through ``as_simplex``.
 """
 
 from __future__ import annotations
@@ -60,6 +60,25 @@ def as_labels(labels, k: int | None = None, n: int | None = None) -> np.ndarray:
     return labels
 
 
+def as_simplex(p, name: str, n: int | None = None) -> np.ndarray:
+    """A flat float probability vector, as a new array; entries within ``SIMPLEX_TOL``
+    below 0 become 0. Empty, of a length other than ``n`` or off the simplex raises."""
+    p = np.asarray(p, dtype=float).reshape(-1)
+    if p.size == 0:
+        raise ValueError(f"{name} must be non-empty")
+    if n is not None and p.size != n:
+        raise ValueError(f"{name} must have length {n}, got {p.size}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"non-finite value in {name}")
+    if np.any(p < -SIMPLEX_TOL):
+        raise ValueError(f"negative value in {name}")
+    with np.errstate(over="ignore"):  # entries near 1e308 sum to inf, also not 1
+        total = float(p.sum())
+    if abs(total - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"{name} must sum to 1, got {total}")
+    return np.maximum(p, 0.0)
+
+
 def class_rows(labels, k: int, n: int | None = None) -> list:
     """Indices of the rows labelled ``c``, in order, for each ``c`` in
     ``0..k-1`` (possibly empty); ``labels`` is checked by ``as_labels``."""
@@ -69,21 +88,12 @@ def class_rows(labels, k: int, n: int | None = None) -> list:
 
 @dataclass(frozen=True)
 class ClassWeights:
-    """A point on the (K-1)-simplex: nonnegative entries summing to one."""
+    """A point on the (K-1)-simplex, checked by ``as_simplex``."""
 
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float).reshape(-1)
-        object.__setattr__(self, "w", w)
-        if w.size == 0:
-            raise ValueError("class weights must be non-empty")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("non-finite value in class weights")
-        if np.any(w < -SIMPLEX_TOL):
-            raise ValueError("negative class weight")
-        if abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"class weights sum to {w.sum()}, expected 1")
+        object.__setattr__(self, "w", as_simplex(self.w, "class weights"))
 
     @property
     def k(self) -> int:

@@ -179,13 +179,14 @@ INPUT_CHECKS = {
     ),
     "sinkhorn[marginal length]": (
         lambda: ot.sinkhorn(np.ones((2, 2)), [1.0], HALF, 1.0),
-        "invalid marginals: a has length 1, expected 2",
+        "marginal a must have length 2, got 1",
     ),
     "sinkhorn[1-D cost]": (
         lambda: ot.sinkhorn(np.ones(2), HALF, HALF, 1.0), "cost matrix must be a finite 2-D array"
     ),
     "ot_exact_discrete[1-D cost]": (
-        lambda: ot.ot_exact_discrete(np.ones(2), HALF, HALF), "cost matrix must be 2-D"
+        lambda: ot.ot_exact_discrete(np.ones(2), HALF, HALF),
+        "cost matrix must be a finite 2-D array",
     ),
     "ot_exact_discrete[65 atoms]": (
         lambda: ot.ot_exact_discrete(np.ones((65, 1)), np.full(65, 1 / 65), [1.0]),
@@ -193,7 +194,7 @@ INPUT_CHECKS = {
     ),
     "ot_exact_discrete[NaN cost]": (
         lambda: ot.ot_exact_discrete([[0.0, np.nan], [1.0, 0.0]], HALF, HALF),
-        "non-finite value in cost matrix",
+        "cost matrix must be a finite 2-D array",
     ),
     "effective_reg": (lambda: ot.effective_reg(np.ones((2, 2)), 1.0, "x"), "unknown reg_mode 'x'"),
     "w1_empirical[empty]": (lambda: ot.w1_empirical(np.empty((0, 2)), X), "empty sample set"),
@@ -225,9 +226,11 @@ INPUT_CHECKS = {
         "partition does not cover the samples",
     ),
     "ClassWeights[empty]": (lambda: ClassWeights([]), "class weights must be non-empty"),
-    "ClassWeights[negative]": (lambda: ClassWeights([1.5, -0.5]), "negative class weight"),
+    "ClassWeights[negative]": (
+        lambda: ClassWeights([1.5, -0.5]), "negative value in class weights"
+    ),
     "ClassWeights[sum]": (
-        lambda: ClassWeights([0.25, 0.25]), "class weights sum to 0.5, expected 1"
+        lambda: ClassWeights([0.25, 0.25]), "class weights must sum to 1, got 0.5"
     ),
     "ClassWeights.uniform": (lambda: ClassWeights.uniform(0), "need at least one class"),
     "ClassWeights.from_labels": (

@@ -258,6 +258,18 @@ def test_bounds_malformed_checkpoint_exits_two(figure1_csvs, tmp_path, capsys, b
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("version", [{"format_version": 99}, {}], ids=["99", "missing"])
+def test_bounds_checkpoint_format_version_exits_two(figure1_csvs, tmp_path, capsys, version):
+    src, tgt = figure1_csvs
+    checkpoint = {key: value for key, value in _checkpoint().items() if key != "format_version"}
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps({**checkpoint, **version}))
+    argv = ["bounds", "--source", str(src), "--target", str(tgt), "--checkpoint", str(path)]
+    assert main([*argv, "--out", str(tmp_path / "bounds")]) == 2
+    expected = repr(version.get("format_version"))
+    assert f"unsupported checkpoint format version {expected}" in capsys.readouterr().err
+
+
 def test_bounds_identical_domains(figure1_csvs, tmp_path):
     src, _ = figure1_csvs
     out_dir = tmp_path / "bounds2"
@@ -348,6 +360,20 @@ def test_train_outputs_and_schemas(tmp_path, capsys):
     assert {"encoder_s", "encoder_t", "classifier"} <= set(checkpoint)
     bound_lines = (run / "bound_comparison.csv").read_text().splitlines()
     assert len(bound_lines) == 3  # header + one row per epoch
+
+
+def test_train_tol_below_rounding_exits_zero(tmp_path):
+    # A residual at rounding level used to be called divergence (exit 4).
+    config = _train_config(
+        tmp_path,
+        task={"name": "figure1", "n_per_domain": 200},
+        darsa={"epochs": 2, "pretrain_epochs": 2, "sinkhorn_tol": 1e-300, "seed": 0},
+    )
+    assert main(["train", "--config", str(config)]) == 0
+    run = tmp_path / "run"
+    validate(json.loads((run / "summary.json").read_text()), "summary.schema.json")
+    for line in (run / "metrics.jsonl").read_text().splitlines():
+        validate(json.loads(line), "metrics_record.schema.json")
 
 
 def test_train_zero_epochs_reports_pretrain_accuracy(tmp_path, capsys):

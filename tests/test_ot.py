@@ -203,9 +203,9 @@ def test_exact_marginal_feasibility():
 
 
 def test_exact_invalid_marginals():
-    with pytest.raises(ValueError, match="invalid marginals"):
+    with pytest.raises(ValueError, match=r"^marginal a must sum to 1, got 0\.9$"):
         ot_exact_discrete([[1.0, 2.0]], [0.9], [0.5, 0.5])
-    with pytest.raises(ValueError, match="invalid marginals"):
+    with pytest.raises(ValueError, match=r"^marginal b must sum to 1, got 0\.9$"):
         ot_exact_discrete([[1.0, 2.0]], [1.0], [0.8, 0.1])
 
 
@@ -299,6 +299,18 @@ def test_sinkhorn_divergence_error():
     with pytest.raises(SinkhornDivergenceError) as excinfo:
         sinkhorn(cost, a, a, reg=0.001, max_iter=1, tol=1e-12)
     assert excinfo.value.residual > 0.0
+
+
+def test_sinkhorn_tol_below_rounding_returns_unconverged():
+    # No float64 plan gets within 1e-300: a residual within 100 eps is
+    # rounding, so the solve returns unconverged instead of raising.
+    rng = np.random.default_rng(0)
+    cost = euclidean_cost_matrix(rng.normal(size=(40, 2)), rng.normal(size=(30, 2)))
+    a, b = np.full(40, 1 / 40), np.full(30, 1 / 30)
+    plan, info = sinkhorn(cost, a, b, reg=0.05 * cost.mean(), max_iter=300, tol=1e-300,
+                          return_info=True)
+    assert not info.converged and info.iterations == 300
+    assert info.residual == plan.marginal_residual() <= 100 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
-"""Label vectors and feature matrices: the one conversion and check of each, and every
-public entry point that takes one."""
+"""Label vectors, feature matrices, probability vectors and transport costs: the one
+conversion and check of each, and every public entry point that takes one."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -25,7 +26,17 @@ from darsa.nn import (
     loss_inter,
     loss_intra,
 )
-from darsa.ot import euclidean_cost_matrix, w1_empirical, w1_exact_1d, weighted_subdomain_w1
+from darsa.ot import (
+    GaussianComponent,
+    GaussianMixture,
+    euclidean_cost_matrix,
+    ot_exact_discrete,
+    sample_gmm,
+    sinkhorn,
+    w1_empirical,
+    w1_exact_1d,
+    weighted_subdomain_w1,
+)
 from darsa.synthdata import Dataset
 from darsa.training import (
     DarsaConfig,
@@ -242,11 +253,11 @@ ALONE = {"split_by_class", "loss_intra", "Dataset"}
 PAIRED = [e for e in FEATURE_ENTRY_POINTS if e not in ALONE and not e.startswith("w1_exact_1d")]
 
 
-def _raises_without_warning(entry, x, message):
+def _raises_without_warning(call, x, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{message}$"):
-            FEATURE_ENTRY_POINTS[entry][0](x)
+            call(x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -257,16 +268,106 @@ def test_feature_entry_point_rejects_a_non_finite_value(entry, bad):
     _, valid, name = FEATURE_ENTRY_POINTS[entry]
     x = valid.copy()
     x.flat[3] = bad
-    _raises_without_warning(entry, x, f"non-finite value in {name}")
+    _raises_without_warning(FEATURE_ENTRY_POINTS[entry][0], x, f"non-finite value in {name}")
 
 
 @pytest.mark.parametrize("entry", list(FEATURE_ENTRY_POINTS))
 def test_feature_entry_point_rejects_a_3d_array(entry):
     _, valid, name = FEATURE_ENTRY_POINTS[entry]
     x = valid.reshape(len(valid), -1, 1)
-    _raises_without_warning(entry, x, f"{name} must be a 2-D feature matrix, got 3 dimensions")
+    _raises_without_warning(
+        FEATURE_ENTRY_POINTS[entry][0], x, f"{name} must be a 2-D feature matrix, got 3 dimensions"
+    )
 
 
 @pytest.mark.parametrize("entry", PAIRED)
 def test_feature_entry_point_rejects_a_column_mismatch(entry):
-    _raises_without_warning(entry, FEAT[:, :1], "feature spaces differ in dimension")
+    _raises_without_warning(
+        FEATURE_ENTRY_POINTS[entry][0], FEAT[:, :1], "feature spaces differ in dimension"
+    )
+
+
+# ---------------------------------------------------------------------------
+# as_simplex, and every public probability-vector entry point; the transport
+# cost check, and both solvers that take a cost
+# ---------------------------------------------------------------------------
+
+HALF = [0.5, 0.5]
+LINE = {"mean": [0.0], "covariance": [[1.0]]}
+SIMPLEX_ENTRY_POINTS = {
+    # entry: (call on the vector under test, returning the vector it keeps; its name in errors)
+    "ClassWeights": (lambda p: ClassWeights(p).w, "class weights"),
+    "sinkhorn[a]": (
+        lambda p: sinkhorn(np.ones((len(p), 2)), p, HALF, 0.1).row_marginal, "marginal a"
+    ),
+    "sinkhorn[b]": (
+        lambda p: sinkhorn(np.ones((2, len(p))), HALF, p, 0.1).col_marginal, "marginal b"
+    ),
+    "ot_exact_discrete[a]": (
+        lambda p: ot_exact_discrete(np.ones((len(p), 2)), p, HALF).row_marginal, "marginal a"
+    ),
+    "ot_exact_discrete[b]": (
+        lambda p: ot_exact_discrete(np.ones((2, len(p))), HALF, p).col_marginal, "marginal b"
+    ),
+    "GaussianMixture.from_dict": (
+        lambda p: GaussianMixture.from_dict({"weights": p, "components": [LINE] * len(p)})
+        .weights.w,
+        "class weights",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        # A NaN atom used to pass the sum check: sinkhorn sliced it out as a
+        # zero mass and reported converged, or reduced an empty problem.
+        ([np.nan, 1.0], "non-finite value in {name}"),
+        ([np.nan], "non-finite value in {name}"),
+        ([0.5, np.inf], "non-finite value in {name}"),
+        ([1.001, -1e-3], "negative value in {name}"),
+        ([0.25, 0.25], "{name} must sum to 1, got 0.5"),
+        ([], "{name} must be non-empty"),
+        # The sum of these finite entries overflows: no warning, the same check.
+        ([1e308, 1e308], "{name} must sum to 1, got inf"),
+    ],
+    ids=["nan", "nan-alone", "inf", "negative", "sum", "empty", "overflow"],
+)
+@pytest.mark.parametrize("entry", list(SIMPLEX_ENTRY_POINTS))
+def test_simplex_entry_point_rejects_a_vector_off_the_simplex(entry, p, message):
+    call, name = SIMPLEX_ENTRY_POINTS[entry]
+    _raises_without_warning(call, np.array(p), re.escape(message.format(name=name)))
+
+
+@pytest.mark.parametrize("entry", list(SIMPLEX_ENTRY_POINTS))
+def test_simplex_entry_point_sets_a_tolerated_negative_entry_to_zero(entry):
+    kept = SIMPLEX_ENTRY_POINTS[entry][0](np.array([1 + 5e-10, -5e-10]))
+    assert kept.tolist() == [1 + 5e-10, 0.0] and not np.signbit(kept).any()
+
+
+def test_sample_gmm_with_a_tolerated_negative_weight():
+    # rng.choice rejects any negative probability; the weight is 0 once checked.
+    comp = GaussianComponent([0.0], [[1.0]])
+    mix = GaussianMixture(ClassWeights([1 + 5e-10, -5e-10]), (comp, comp))
+    assert sample_gmm(mix, 5, 0)[1].tolist() == [0] * 5
+
+
+COST_ENTRY_POINTS = {
+    "sinkhorn": lambda cost: sinkhorn(cost, HALF, HALF, 0.1),
+    "ot_exact_discrete": lambda cost: ot_exact_discrete(cost, HALF, HALF),
+}
+COST_MESSAGE = "cost matrix must be a finite 2-D array"
+
+
+@pytest.mark.parametrize("position", [0, 1, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", list(COST_ENTRY_POINTS))
+def test_cost_entry_point_rejects_a_non_finite_value(entry, bad, position):
+    cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cost.flat[position] = bad
+    _raises_without_warning(COST_ENTRY_POINTS[entry], cost, COST_MESSAGE)
+
+
+@pytest.mark.parametrize("entry", list(COST_ENTRY_POINTS))
+def test_cost_entry_point_rejects_a_1d_cost(entry):
+    _raises_without_warning(COST_ENTRY_POINTS[entry], np.ones(2), COST_MESSAGE)
