@@ -8,6 +8,8 @@ within an additive slack ``delta_c`` driven by the per-class feature
 variance). This module estimates the computable parts of both bounds:
 ``discrepancy_terms`` gives the three discrepancy terms to ``bound_report``
 (which adds the risk terms in a comparator report) and to ``darsa figure1``.
+On one-column features the W1 terms are exact (``ot.w1_exact_1d``); on more
+columns they are entropic estimates (``ot.w1_empirical``).
 The ideal joint risks of the full bounds are infima over a hypothesis class
 and have no estimator; they are deliberately absent from the report, which
 therefore compares partial bounds only.
@@ -162,13 +164,24 @@ def discrepancy_terms(
     source_features, source_labels, target_features, target_labels, w_t: ClassWeights, **solver
 ) -> tuple:
     """``(pooled, weighted, slack)``: pooled W1, ``w_t``-weighted paired per-class W1
-    (an ``ot.WeightedSubdomainW1``) and ``delta_c``; every solve gets ``solver``."""
+    (an ``ot.WeightedSubdomainW1``) and ``delta_c``.
+
+    On one-column features every W1 is exact (``ot.w1_exact_1d``), and the
+    ``solver`` settings (``ot.w1_empirical``'s keywords) are only checked;
+    on more columns every W1 is ``ot.w1_empirical`` with ``solver``.
+    """
     source_features = as_features(source_features, "source_features")
     target_features = as_features(target_features, "target_features", source_features.shape[1])
-    pooled = ot.w1_empirical(source_features, target_features, **solver)
+    if source_features.shape[1] == 1:
+        ot._check_solver(**solver)
+        distance = ot.w1_exact_1d
+    else:
+        def distance(x, y):
+            return ot.w1_empirical(x, y, **solver)
+    pooled = distance(source_features, target_features)
     source_parts = split_by_class(source_features, source_labels, w_t.k)
     target_parts = split_by_class(target_features, target_labels, w_t.k)
-    weighted = ot.weighted_subdomain_w1(source_parts, target_parts, w_t, **solver)
+    weighted = ot._subdomain_sum(source_parts, target_parts, w_t, distance)
     return pooled, weighted, delta_c(source_parts + target_parts)
 
 
@@ -188,7 +201,9 @@ def bound_report(
 
     Source sub-domains come from true labels, target sub-domains from the
     supplied pseudo-labels; ``w_t`` weights both the per-class risks and
-    the paired per-class discrepancies.
+    the paired per-class discrepancies. The discrepancies come from
+    :func:`discrepancy_terms`: exact W1 on one-column features, where the
+    solver settings are only checked, and entropic W1 on more columns.
     """
     gamma = source_risk(source_preds, source_labels)
     partition = SubdomainPartition(source_labels, w_t.k)

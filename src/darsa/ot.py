@@ -51,6 +51,7 @@ F32_TINY = np.finfo(np.float32).tiny  # and a float32 one below this
 F32_CELLS = 2**16  # sinkhorn sweeps in float32 on a reduced problem of this many cells
 F32_MASS = F32_TINY * SCALING_BOUND  # while every mass is at least this;
 F32_FLOOR = 1e-6  # its last stage goes on in float64 from this float32 residual
+ROUNDING_FLOOR = 100 * np.finfo(float).eps  # a marginal residual within this is rounding
 OMEGA_MAX = 1.8  # sinkhorn over-relaxes its updates by a factor of at most this;
 OMEGA_MIN = 1.05  # it sweeps plainly while the factor it estimates is below this,
 PLAIN_OPEN = 4  # takes a stage's plain rate from this sweep
@@ -60,8 +61,8 @@ PAST_OPTIMUM = 0.1  # and goes plain when a relaxed rate is within this of ω - 
 
 
 class SinkhornDivergenceError(RuntimeError):
-    """Sinkhorn failed to reduce the marginal violation below 100x tol, or below 100x
-    float64's eps, the rounding floor, when tol is smaller."""
+    """Sinkhorn failed to reduce the marginal violation below 100x tol, or below
+    ``ROUNDING_FLOOR`` (100x float64's eps) when that is larger."""
 
     def __init__(self, residual: float, iterations: int):
         self.residual = float(residual)
@@ -206,6 +207,26 @@ def _transport_problem(cost_matrix, a, b):
     if not (math.isfinite(top) and math.isfinite(low)):
         raise ValueError("cost matrix must be a finite 2-D array")
     return cost, a, b, top, low
+
+
+def _check_solver(reg=0.01, max_iter=5000, tol=1e-6, reg_mode="absolute") -> None:
+    """Range checks of a solve's settings (defaults: :func:`w1_empirical`'s).
+    ``sinkhorn`` checks its resolved reg here, and the exact one-column terms
+    of ``bounds.discrepancy_terms`` the settings that their solves would take."""
+    _relative(reg_mode)
+    if not 0 < reg < math.inf:
+        raise ValueError("reg must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    if not tol >= 0:
+        raise ValueError("tol must be non-negative")
+
+
+def _relative(reg_mode) -> bool:
+    """Whether ``reg_mode`` is ``"relative"``; a mode but it and ``"absolute"`` raises."""
+    if reg_mode not in ("absolute", "relative"):
+        raise ValueError(f"unknown reg_mode {reg_mode!r}")
+    return reg_mode == "relative"
 
 
 def _plan(coupling, a, b, cost) -> TransportPlan:
@@ -574,11 +595,13 @@ def sinkhorn(
 
     Large solves sweep in float32, which halves the memory traffic of each
     matrix-vector product. When the reduced problem has at least
-    ``F32_CELLS`` cells and every positive mass is at least ``F32_MASS``
+    ``F32_CELLS`` cells, every positive mass is at least ``F32_MASS``
     (float32's tiny times ``SCALING_BOUND``, so that ``K v`` and ``Kᵀ u``
-    stay normal float32 numbers while the scalings are within their bound),
-    the kernel, the scalings, the per-sweep vectors and the marginals used
-    in the sweeps are float32; the cost, the potentials, the plan and its
+    stay normal float32 numbers while the scalings are within their bound)
+    and ``tol`` is at least ``ROUNDING_FLOOR`` (a float32 run could not
+    meet a smaller one, and would start over after its whole budget), the
+    kernel, the scalings, the per-sweep vectors and the marginals used in
+    the sweeps are float32; the cost, the potentials, the plan and its
     cost stay float64. The float32 kernel sits in the first half of the
     float64 buffer that becomes the plan, so no n×m array is added, and its
     subnormal entries are set to zero. The final stage's float32 sweeps
@@ -607,22 +630,18 @@ def sinkhorn(
         ``max_iter`` or ``tol`` is out of range.
     SinkhornDivergenceError
         If ``max_iter`` is reached with a marginal violation above
-        ``100 * max(tol, eps)``, eps being float64's. A violation within
-        ``100 * eps`` is rounding, so a tol below it returns unconverged.
+        ``max(100 * tol, ROUNDING_FLOOR)``. A violation within
+        ``ROUNDING_FLOOR`` (100 times float64's eps) is rounding, so a tol
+        below it returns unconverged.
     """
     cost, a, b, top, low = _transport_problem(cost_matrix, a, b)
     n, m = cost.shape
     # Checked after the cost: a relative reg resolved against a NaN cost is NaN.
-    if not 0 < reg < math.inf:
-        raise ValueError("reg must be positive and finite")
+    _check_solver(reg, max_iter, tol)
     # The ε-schedule starts from the cost's span max(C) - min(min(C), 0) over
     # reg; in Python floats an overflow of either gives inf, without a warning.
     if not math.isfinite((top - min(low, 0.0)) / float(reg)):
         raise ValueError("cost range over reg overflows float64")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    if not tol >= 0:
-        raise ValueError("tol must be non-negative")
 
     # Zero-mass atoms receive zero plan rows/columns; solve the reduced
     # problem so that every scaling and potential stays finite.
@@ -641,10 +660,12 @@ def sinkhorn(
 
     # The reduced plan's buffer is the solve's one array of its size. A
     # large solve whose masses are all at least F32_MASS sweeps in float32,
-    # its kernel in the first half of the buffer, unless it starts over.
+    # its kernel in the first half of the buffer, unless it starts over; one
+    # at a tol below ROUNDING_FLOOR, which float32 sweeps cannot meet, does not.
     buffer = np.empty_like(cost_r)
     solve = (buffer, cost_r, a_r, b_r, reg, top, max_iter, tol)
-    single = cost_r.size >= F32_CELLS and min(a_r.min(), b_r.min()) >= F32_MASS
+    single = (tol >= ROUNDING_FLOOR and cost_r.size >= F32_CELLS
+              and min(a_r.min(), b_r.min()) >= F32_MASS)
     solved = single and _sweeps(*solve, np.float32)
     u, v, iterations, residual, converged = solved or _sweeps(*solve, float)
     coupling = buffer
@@ -656,7 +677,7 @@ def sinkhorn(
     plan = _plan(coupling, a, b, cost)
     if not converged:
         residual = plan.marginal_residual()
-        if not residual <= 100 * max(tol, np.finfo(float).eps):  # NaN included
+        if not residual <= max(100 * tol, ROUNDING_FLOOR):  # NaN included
             raise SinkhornDivergenceError(residual, iterations)
     if return_info:
         float32_exit = "floor" if solved else "restart" if single else "float64"
@@ -673,10 +694,8 @@ def effective_reg(cost: np.ndarray, reg: float, reg_mode: str) -> float:
     whatever the data scale. The mean (rather than a quantile) stays on
     the dominant scale when the cost distribution is multimodal.
     """
-    if reg_mode == "absolute":
+    if not _relative(reg_mode):
         return reg
-    if reg_mode != "relative":
-        raise ValueError(f"unknown reg_mode {reg_mode!r}")
     scale = float(cost.mean())
     if not np.isfinite(scale) or scale <= 0:
         scale = max(float(cost.max(initial=0.0)), 1.0)
@@ -913,6 +932,15 @@ def weighted_subdomain_w1(
     miss classes, so this is not an error unless every pair is empty. The
     non-empty parts of both lists share one feature space.
     """
+    return _subdomain_sum(
+        source_parts, target_parts, w_t,
+        lambda xs, xt: w1_empirical(xs, xt, reg, max_iter, tol, reg_mode),
+    )
+
+
+def _subdomain_sum(source_parts, target_parts, w_t, distance) -> WeightedSubdomainW1:
+    """:func:`weighted_subdomain_w1` with ``distance(xs, xt)`` as each pair's
+    W1: ``bounds.discrepancy_terms`` passes :func:`w1_exact_1d` on one column."""
     if len(source_parts) != len(target_parts):
         raise ValueError("source and target part lists differ in length")
     if len(source_parts) != w_t.k:
@@ -926,9 +954,7 @@ def weighted_subdomain_w1(
         if xs.size == 0 or xt.size == 0:
             skipped.append(k)
             continue
-        per_class[k] = w1_empirical(
-            xs, xt, reg=reg, max_iter=max_iter, tol=tol, reg_mode=reg_mode
-        )
+        per_class[k] = distance(xs, xt)
         total += w_t[k] * per_class[k]
     if len(skipped) == len(source_parts):
         raise ValueError("no aligned sub-domains")

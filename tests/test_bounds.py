@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from darsa import ot
 from darsa.bounds import (
     BoundReport,
     SubdomainPartition,
@@ -17,7 +20,7 @@ from darsa.bounds import (
     subdomain_risks,
 )
 from darsa.nn import loss_discrepancy_weighted
-from darsa.ot import w1_exact_1d
+from darsa.ot import w1_empirical, w1_exact_1d, weighted_subdomain_w1
 from darsa.synthdata import make_figure1_task
 from darsa.weights import ClassWeights
 
@@ -290,3 +293,102 @@ def test_discrepancy_labels_must_cover_features(side):
     w_t = ClassWeights(np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="labels do not cover"):
         loss_discrepancy_weighted(feat_s, labels_s, feat_t, labels_t, w_t)
+
+
+# ---------------------------------------------------------------------------
+# discrepancy_terms: exact on one column, entropic on more
+# ---------------------------------------------------------------------------
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (ValueError, ot.SinkhornDivergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def _class_draw(k, empty_share, d, seed):
+    """Features with ``d`` columns and shuffled labels of ``k`` classes, each
+    class 1 to 15 rows a domain or, with probability ``empty_share``, none;
+    the target is shifted off the source."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 16, size=(2, k)) * (rng.random((2, k)) >= empty_share)
+    labels_s, labels_t = (rng.permutation(np.repeat(np.arange(k), side)) for side in sizes)
+    feat_s = rng.normal(size=(labels_s.size, d))
+    feat_t = rng.normal(size=(labels_t.size, d)) + rng.normal()
+    return feat_s, labels_s, feat_t, labels_t, ClassWeights(rng.dirichlet(np.ones(k)))
+
+
+CLASS_DRAW = dict(
+    k=st.integers(1, 4),
+    empty_share=st.sampled_from([0.0, 0.3, 0.6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(**CLASS_DRAW)
+def test_one_column_terms_are_exact(k, empty_share, seed):
+    # Every W1 term of one-column features is w1_exact_1d's, empty classes
+    # and all-empty pairs included; the weighted value is summed in class order.
+    feat_s, labels_s, feat_t, labels_t, w_t = _class_draw(k, empty_share, 1, seed)
+    got = _outcome(lambda: discrepancy_terms(feat_s, labels_s, feat_t, labels_t, w_t))
+    if not (labels_s.size and labels_t.size):
+        assert got == (ValueError, "empty sample set")
+        return
+    parts_s, parts_t = split_by_class(feat_s, labels_s, k), split_by_class(feat_t, labels_t, k)
+    skipped = tuple(c for c in range(k) if not (parts_s[c].size and parts_t[c].size))
+    if len(skipped) == k:
+        assert got == (ValueError, "no aligned sub-domains")
+        return
+    pooled, weighted, slack = got
+    assert pooled == w1_exact_1d(feat_s, feat_t)
+    per_class = tuple(0.0 if c in skipped else w1_exact_1d(parts_s[c], parts_t[c])
+                      for c in range(k))
+    total = 0.0
+    for c in range(k):
+        if c not in skipped:
+            total += w_t[c] * per_class[c]
+    assert weighted == (total, skipped, per_class)
+    assert weighted == ot._subdomain_sum(parts_s, parts_t, w_t, w1_exact_1d)
+    assert slack == delta_c(parts_s + parts_t)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**CLASS_DRAW)
+def test_multi_column_terms_are_the_entropic_solves(k, empty_share, seed):
+    # With two columns every W1 term is w1_empirical's, as the public
+    # entropic functions return it called directly.
+    feat_s, labels_s, feat_t, labels_t, w_t = _class_draw(k, empty_share, 2, seed)
+    solver = dict(reg=0.05, max_iter=2000, tol=1e-5, reg_mode="relative")
+    got = _outcome(lambda: discrepancy_terms(feat_s, labels_s, feat_t, labels_t, w_t, **solver))
+    pooled = _outcome(lambda: w1_empirical(feat_s, feat_t, **solver))
+    if not isinstance(pooled, float):
+        assert got == pooled
+        return
+    parts_s, parts_t = split_by_class(feat_s, labels_s, k), split_by_class(feat_t, labels_t, k)
+    weighted = _outcome(lambda: weighted_subdomain_w1(parts_s, parts_t, w_t, **solver))
+    if not isinstance(weighted, ot.WeightedSubdomainW1):
+        assert got == weighted
+        return
+    assert got == (pooled, weighted, delta_c(parts_s + parts_t))
+
+
+@pytest.mark.parametrize(
+    "solver, message",
+    [
+        ({"reg": 0.0}, "reg must be positive and finite"),
+        ({"reg": np.nan}, "reg must be positive and finite"),
+        ({"max_iter": 0}, "max_iter must be positive"),
+        ({"tol": -1.0}, "tol must be non-negative"),
+        ({"reg_mode": "x"}, "unknown reg_mode 'x'"),
+    ],
+)
+def test_one_column_terms_check_the_solver_settings(solver, message):
+    # The exact terms run no solve, but settings a solve would reject are
+    # still an input error, with the solve's message.
+    labels = np.arange(10) % 2
+    feats = np.linspace(0.0, 1.0, 10)[:, None]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        discrepancy_terms(feats, labels, feats + 0.5, labels, ClassWeights.uniform(2), **solver)

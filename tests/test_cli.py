@@ -200,6 +200,26 @@ def test_nan_reg_exits_two(figure1_csvs, tmp_path, capsys, reg):
     assert capsys.readouterr().err.count("reg must be positive and finite") == 3
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--reg", "0", "reg must be positive and finite"),
+        ("--reg", "-1", "reg must be positive and finite"),
+        ("--max-iter", "0", "max_iter must be positive"),
+        ("--tol", "-1", "tol must be non-negative"),
+    ],
+)
+def test_one_column_solver_flag_out_of_range_exits_two(figure1_csvs, tmp_path, capsys, flag,
+                                                       value, message):
+    # On one-column features figure1 and bounds report exact W1 terms and
+    # run no solve; a setting a solve would reject is still an input error.
+    src, tgt = figure1_csvs
+    bounds = ["bounds", "--source", str(src), "--target", str(tgt), "--out", str(tmp_path / "b")]
+    assert main([*bounds, flag, value]) == 2
+    assert main(["figure1", "--n", "200", flag, value, "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err.count(f"error: {message}\n") == 2
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------

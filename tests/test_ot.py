@@ -313,6 +313,26 @@ def test_sinkhorn_tol_below_rounding_returns_unconverged():
     assert info.residual == plan.marginal_residual() <= 100 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("tol", [1e-300, 0.0, ot.ROUNDING_FLOOR / 2])
+def test_sinkhorn_tol_below_rounding_is_not_float32_eligible(monkeypatch, tol):
+    # Float32 sweeps cannot meet a tol below ROUNDING_FLOOR: a float32 run
+    # would spend the whole max_iter and start over as the float64 solve.
+    # Such a solve sweeps once, in float64, whatever its size.
+    rng = np.random.default_rng(0)
+    cost = euclidean_cost_matrix(rng.normal(size=(40, 2)), rng.normal(size=(30, 2)))
+    problem = (cost, np.full(40, 1 / 40), np.full(30, 1 / 30), 0.05 * cost.mean(), 300, tol)
+    monkeypatch.setattr(ot, "F32_CELLS", math.inf)
+    want = _exact_outcome(*problem)
+    monkeypatch.setattr(ot, "F32_CELLS", 1)
+    runs = []
+    sweeps = ot._sweeps
+    monkeypatch.setattr(ot, "_sweeps", lambda *args: runs.append(args[-1]) or sweeps(*args))
+    got = _exact_outcome(*problem)
+    assert _apart_from_exit(got) == _apart_from_exit(want)
+    assert got[0].float32_exit == want[0].float32_exit == "float64"
+    assert runs == [float]
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -568,7 +588,8 @@ def test_sinkhorn_solves_a_negative_cost_on_its_shift(empty_row):
         a /= a.sum()
     got = _exact_outcome(cost, a, b, 0.1, 5000, 1e-6)
     want = _exact_outcome(cost - cost.min(), a, b, 0.1, 5000, 1e-6)
-    assert got[0] == want[0] and got[0].converged
+    assert _apart_from_exit(got)[0] == _apart_from_exit(want)[0] and got[0].converged
+    assert got[0].float32_exit == want[0].float32_exit == "float64"
     assert got[2] == want[2]
     plan = sinkhorn(cost, a, b, 0.1, max_iter=5000)
     assert plan.cost == float(np.einsum("ij,ij->", plan.coupling, cost))
