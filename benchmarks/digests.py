@@ -1,0 +1,135 @@
+"""Print a sha256 prefix of each output that a byte-identical change must keep.
+
+    python3 benchmarks/digests.py [--src <checkout>/src]
+
+Runs, against the darsa package under ``--src`` (default: this checkout's
+``src``) and with BLAS and OpenMP pinned to one thread:
+
+- ``fit()`` on the README GMM example at seeds 0 and 1 (task and config
+  seed alike): its ``metrics.jsonl`` records and its models' JSON;
+- ``darsa train`` on the README figure1 config: stdout, ``summary.json``,
+  ``metrics.jsonl``, ``checkpoint.json`` and ``bound_comparison.csv``;
+- ``darsa figure1 --n 2000`` at seeds 0, 1 and 5: stdout and CSV;
+- ``darsa gen`` of the figure1 and gmm tasks at their defaults: stdout,
+  manifest and CSVs;
+- ``mw1_gmm`` in analytic mode on 300 random mixture pairs (the
+  ``ot-mixture`` generator of ``perfbench/workloads.py``, seeded 0): the
+  ``repr`` of every value and plan.
+
+Each line is ``<name> <first 16 hex digits>``. Run it on two trees and
+compare the columns: every line must agree for a byte-identical change.
+The README inputs come from ``perfbench/workloads.py`` of this checkout,
+so both runs use the same inputs.
+"""
+
+from __future__ import annotations
+
+import os
+
+# Pin BLAS and OpenMP to one thread before numpy is imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+MIXTURE_PAIRS = 300
+
+
+def digest(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def cli(argv) -> str:
+    """``darsa.cli.main`` on ``argv``; its standard output, or an error if it exits non-zero."""
+    import darsa.cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = darsa.cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"error: darsa {' '.join(argv)} exited with {code}")
+    return out.getvalue()
+
+
+def fit_digests(workloads):
+    import darsa
+    from darsa.weights import ClassWeights
+
+    task = {**workloads.GMM_TASK,
+            "source_props": ClassWeights(np.array(workloads.GMM_TASK["source_props"])),
+            "target_props": ClassWeights(np.array(workloads.GMM_TASK["target_props"]))}
+    for seed in (0, 1):
+        source, target = darsa.make_shifted_gmm(**task, seed=seed)
+        config = darsa.DarsaConfig(**workloads.GMM_CONFIG, seed=seed)
+        models, metrics = darsa.fit(source, target, config, eval_labels=target.labels)
+        yield f"fit[seed={seed}].records", digest(metrics.to_jsonl())
+        yield f"fit[seed={seed}].models", digest(json.dumps(models.to_dict()))
+
+
+def cli_digests(workloads):
+    """The CLI runs, with paths relative to the working directory, so that no output names it."""
+    Path("experiment.json").write_text(json.dumps(workloads.TRAIN_CONFIG))
+    yield "train.stdout", digest(cli(["train", "--config", "experiment.json", "--out", "run"]))
+    for name in ("summary.json", "metrics.jsonl", "checkpoint.json", "bound_comparison.csv"):
+        yield f"train.{name}", digest(Path("run", name).read_bytes())
+    for seed in (0, 1, 5):
+        out = f"figure1-{seed}"
+        stdout = cli(["figure1", "--n", "2000", "--seed", str(seed), "--out", out])
+        yield f"figure1[seed={seed}].stdout", digest(stdout)
+        yield f"figure1[seed={seed}].csv", digest(Path(out, "figure1.csv").read_bytes())
+    for task in ("figure1", "gmm"):
+        out = f"gen-{task}"
+        yield f"gen[{task}].stdout", digest(cli(["gen", "--task", task, "--out", out]))
+        for name in ("manifest.json", "source.csv", "target.csv"):
+            yield f"gen[{task}].{name}", digest(Path(out, name).read_bytes())
+
+
+def mixture_digest(workloads):
+    import darsa.ot
+
+    rng = np.random.default_rng(0)
+    values = []
+    for _ in range(MIXTURE_PAIRS):
+        mix_s, mix_t, _ = workloads.random_mixture_pair(rng)
+        value, plan = darsa.ot.mw1_gmm(mix_s, mix_t, pairwise="analytic")
+        values.append(repr((value, plan.coupling.tolist())))
+    yield f"mw1_gmm[analytic,{MIXTURE_PAIRS}]", digest("\n".join(values))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="src directory of the tree to digest")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    if not (src / "darsa" / "__init__.py").is_file():
+        raise SystemExit(f"error: no darsa package under {src}")
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    import workloads
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for digests in (fit_digests, cli_digests, mixture_digest):
+                for name, value in digests(workloads):
+                    print(name, value, flush=True)
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -108,10 +108,7 @@ class DarsaConfig:
             raise ValueError("momentum must be in [0, 1)")
         if min(self.batch_size, self.feature_dim, self.epochs + 1, self.pretrain_epochs + 1) < 1:
             raise ValueError("batch_size and feature_dim must be positive, epochs nonnegative")
-        if self.sinkhorn_reg <= 0 or self.sinkhorn_tol <= 0 or self.sinkhorn_max_iter < 1:
-            raise ValueError("invalid sinkhorn parameters")
-        if self.sinkhorn_reg_mode not in ("absolute", "relative"):
-            raise ValueError("sinkhorn_reg_mode must be 'absolute' or 'relative'")
+        ot._check_solver(**_solver(self))
         if self.weight_floor <= 0:
             raise ValueError("weight_floor must be positive")
         if self.ratio_cap is not None and self.ratio_cap <= 0:
@@ -128,6 +125,14 @@ class DarsaConfig:
             return DarsaConfig(**obj)
         except TypeError as exc:
             raise ValueError(f"invalid darsa config: {exc}") from exc
+
+
+def _solver(config: DarsaConfig) -> dict:
+    """The config's four Sinkhorn settings as the keywords of a solve (``ot.uniform_plan``'s)."""
+    return dict(
+        reg=config.sinkhorn_reg, max_iter=config.sinkhorn_max_iter,
+        tol=config.sinkhorn_tol, reg_mode=config.sinkhorn_reg_mode,
+    )
 
 
 @dataclass(frozen=True)
@@ -321,13 +326,7 @@ def compute_step_gradients(
     l_d = 0.0
     skipped = set()
     if config.lambda_d > 0:
-        disc = nn.loss_discrepancy_weighted(
-            feat_s, yb_s, feat_t, pseudo, w_t,
-            reg=config.sinkhorn_reg,
-            max_iter=config.sinkhorn_max_iter,
-            tol=config.sinkhorn_tol,
-            reg_mode=config.sinkhorn_reg_mode,
-        )
+        disc = nn.loss_discrepancy_weighted(feat_s, yb_s, feat_t, pseudo, w_t, **_solver(config))
         l_d = disc.value
         skipped.update(disc.skipped)
         d_feat_s += config.lambda_d * disc.grad_source
@@ -375,11 +374,7 @@ def _epoch_snapshot(
     idx_t = capped_indices(snap_rng, target.n, config.snapshot_max)
     report = bounds.bound_report(
         feat_s[idx_s], preds_s[idx_s], source.labels[idx_s],
-        feat_t[idx_t], pseudo_t[idx_t], w_t,
-        reg=config.sinkhorn_reg,
-        max_iter=config.sinkhorn_max_iter,
-        tol=config.sinkhorn_tol,
-        reg_mode=config.sinkhorn_reg_mode,
+        feat_t[idx_t], pseudo_t[idx_t], w_t, **_solver(config)
     )
     return report, source_acc, target_acc
 

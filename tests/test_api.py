@@ -263,7 +263,7 @@ INPUT_CHECKS = {
     "loss_inter[empty]": (lambda: nn.loss_inter([], []), "need at least one class"),
     "DarsaConfig[margin]": (lambda: DarsaConfig(margin=0.0), "margin and lr must be positive"),
     "DarsaConfig[sinkhorn]": (
-        lambda: DarsaConfig(sinkhorn_reg=0.0), "invalid sinkhorn parameters"
+        lambda: DarsaConfig(sinkhorn_reg=0.0), "reg must be positive and finite"
     ),
     "DarsaConfig[weight_floor]": (
         lambda: DarsaConfig(weight_floor=0.0), "weight_floor must be positive"

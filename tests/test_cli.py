@@ -382,12 +382,14 @@ def test_train_outputs_and_schemas(tmp_path, capsys):
     assert len(bound_lines) == 3  # header + one row per epoch
 
 
-def test_train_tol_below_rounding_exits_zero(tmp_path):
-    # A residual at rounding level used to be called divergence (exit 4).
+@pytest.mark.parametrize("tol", [1e-300, 0])
+def test_train_tol_below_rounding_exits_zero(tmp_path, tol):
+    # A residual at rounding level used to be called divergence (exit 4); a tol
+    # of 0 is in the solver's range, so the config takes it too.
     config = _train_config(
         tmp_path,
         task={"name": "figure1", "n_per_domain": 200},
-        darsa={"epochs": 2, "pretrain_epochs": 2, "sinkhorn_tol": 1e-300, "seed": 0},
+        darsa={"epochs": 2, "pretrain_epochs": 2, "sinkhorn_tol": tol, "seed": 0},
     )
     assert main(["train", "--config", str(config)]) == 0
     run = tmp_path / "run"

@@ -136,6 +136,19 @@ def test_shifted_gmm_audit_failure_is_error():
         make_shifted_gmm(2, 1, 0.5, 2.0, props, props, 200, 0.05, seed=11)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6])
+def test_shifted_gmm_generates_in_any_unit(scale):
+    # The audit solves at a reg relative to each cost, so the README task
+    # generates in any unit of length, with the labels of the unit task.
+    props = (ClassWeights(np.array([0.6, 0.2, 0.2])), ClassWeights(np.array([0.2, 0.2, 0.6])))
+    for seed in range(4):
+        unit = make_shifted_gmm(3, 2, 1.0, 0.5, *props, 600, 0.3, seed=seed)
+        scaled = make_shifted_gmm(3, 2, scale, 0.5 * scale, *props, 600, 0.3 * scale, seed=seed)
+        for a, b in zip(unit, scaled):
+            assert np.array_equal(b.labels, a.labels)
+            np.testing.assert_allclose(b.features, scale * a.features, rtol=1e-12)
+
+
 @pytest.mark.parametrize("domain", ["source", "target"])
 def test_shifted_gmm_zero_proportion_names_empty_class(domain):
     # A class of proportion 0 is empty in every draw, so no retry can pass

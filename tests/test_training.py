@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import darsa
-from darsa import bounds, nn
+from darsa import bounds, nn, ot
 from darsa.ot import euclidean_cost_matrix
 from darsa.bounds import split_by_class
 from darsa.synthdata import Dataset, make_figure1_task, make_shifted_gmm
@@ -20,6 +20,7 @@ from darsa.training import (
     DarsaModels,
     EpochRecord,
     TrainingError,
+    _solver,
     accuracy,
     compute_step_gradients,
     default_networks,
@@ -68,6 +69,30 @@ def test_config_validation():
         DarsaConfig(ratio_cap=0.0)
     with pytest.raises(ValueError, match="invalid darsa config"):
         DarsaConfig.from_dict({"epochs": "3"})
+
+
+# A one-column cloud of two points: against itself, the 2x2 cost [[0, 1], [1, 0]].
+X2 = [[0.0], [1.0]]
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [("reg", 0.0), ("reg", -1.0), ("max_iter", 0), ("tol", -1.0), ("reg_mode", "x")],
+)
+def test_config_checks_sinkhorn_settings_by_the_solver_rule(setting, value):
+    # ``uniform_plan`` resolves reg_mode and hands the 2x2 cost to ``ot.sinkhorn``;
+    # the config refuses each setting that the solver refuses, with its message.
+    with pytest.raises(ValueError) as solved:
+        ot.uniform_plan(X2, X2, **{**_solver(DarsaConfig()), setting: value})
+    with pytest.raises(ValueError) as configured:
+        DarsaConfig(**{f"sinkhorn_{setting}": value})
+    assert str(configured.value) == str(solved.value)
+
+
+def test_config_and_solver_accept_zero_tol():
+    config = DarsaConfig(sinkhorn_tol=0)
+    _, _, info = ot.uniform_plan(X2, X2, **_solver(config))
+    assert info.residual <= ot.ROUNDING_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +421,7 @@ def test_target_encoder_gradient_scope():
     feat_t0, _ = nn.forward(encoder_t, xb_t)
     pseudo = np.argmax(nn.forward(classifier, feat_t0)[0], axis=1)
     couplings = nn.loss_discrepancy_weighted(
-        feat_s, yb_s, feat_t0, pseudo, w_t,
-        reg=config.sinkhorn_reg, max_iter=config.sinkhorn_max_iter,
-        tol=config.sinkhorn_tol, reg_mode=config.sinkhorn_reg_mode,
+        feat_s, yb_s, feat_t0, pseudo, w_t, **_solver(config)
     ).couplings
 
     def alignment_objective():
