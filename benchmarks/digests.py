@@ -14,7 +14,13 @@ Runs, against the darsa package under ``--src`` (default: this checkout's
   manifest and CSVs;
 - ``mw1_gmm`` in analytic mode on 300 random mixture pairs (the
   ``ot-mixture`` generator of ``perfbench/workloads.py``, seeded 0): the
-  ``repr`` of every value and plan.
+  ``repr`` of every value and plan;
+- the ``ot-mixture`` chain on each pair of its suite (``MIXTURE_SUITE`` at
+  ``MIXTURE_OT`` and ``MIXTURE_SIZES``, sample seed = suite seed): the
+  ``repr`` of the sampled ``pairwise_component_w1`` table, of the sampled
+  ``mw1_gmm`` value and plan, and of the pooled ``w1_empirical`` on the
+  ``sample_gmm`` draws at seeds 3000+s and 4000+s (a
+  ``SinkhornDivergenceError`` by its iterations and residual).
 
 Each line is ``<name> <first 16 hex digits>``. Run it on two trees and
 compare the columns: every line must agree for a byte-identical change.
@@ -109,6 +115,26 @@ def mixture_digest(workloads):
     yield f"mw1_gmm[analytic,{MIXTURE_PAIRS}]", digest("\n".join(values))
 
 
+def mixture_chain_digests(workloads):
+    import darsa.ot
+
+    sizes = workloads.MIXTURE_SIZES
+    for seed in workloads.MIXTURE_SUITE:
+        mix_s, mix_t, _ = workloads.random_mixture_pair(np.random.default_rng(seed))
+        kwargs = dict(pairwise="sampled", n_samples=sizes["n_samples"], seed=seed,
+                      **workloads.MIXTURE_OT)
+        dist = darsa.ot.pairwise_component_w1(mix_s, mix_t, **kwargs)
+        value, plan = darsa.ot.mw1_gmm(mix_s, mix_t, **kwargs)
+        xs, _ = darsa.ot.sample_gmm(mix_s, sizes["n_pooled"], seed=3000 + seed)
+        xt, _ = darsa.ot.sample_gmm(mix_t, sizes["n_pooled"], seed=4000 + seed)
+        try:
+            pooled = darsa.ot.w1_empirical(xs, xt, **workloads.MIXTURE_OT)
+        except darsa.ot.SinkhornDivergenceError as exc:
+            pooled = ("SinkhornDivergenceError", exc.iterations, exc.residual)
+        chain = (dist.tolist(), value, plan.coupling.tolist(), pooled)
+        yield f"ot-mixture[seed={seed}]", digest(repr(chain))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="src directory of the tree to digest")
@@ -123,7 +149,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for digests in (fit_digests, cli_digests, mixture_digest):
+            for digests in (fit_digests, cli_digests, mixture_digest, mixture_chain_digests):
                 for name, value in digests(workloads):
                     print(name, value, flush=True)
         finally:

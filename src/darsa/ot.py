@@ -750,13 +750,13 @@ def w1_empirical(
     return plan.cost
 
 
-def w1_matrix(clouds_a, clouds_b, reg, max_iter, tol, reg_mode="absolute") -> np.ndarray:
-    """:func:`w1_empirical` from every cloud of ``clouds_a`` (rows) to every
-    cloud of ``clouds_b`` (columns), solved row by row."""
-    dist = np.zeros((len(clouds_a), len(clouds_b)))
-    for i, x in enumerate(clouds_a):
-        for j, y in enumerate(clouds_b):
-            dist[i, j] = w1_empirical(x, y, reg, max_iter, tol, reg_mode)
+def _pair_table(items_a, items_b, distance) -> np.ndarray:
+    """``distance(x, y)`` from every item of ``items_a`` (rows) to every
+    item of ``items_b`` (columns), filled row by row."""
+    dist = np.zeros((len(items_a), len(items_b)))
+    for i, x in enumerate(items_a):
+        for j, y in enumerate(items_b):
+            dist[i, j] = distance(x, y)
     return dist
 
 
@@ -861,25 +861,22 @@ def pairwise_component_w1(
     """Matrix of component-to-component W1 estimates between two mixtures.
 
     ``analytic`` uses the Gaussian W2 closed form (an upper bound on W1 and
-    deterministic); ``sampled`` draws ``n_samples`` per component and runs
-    the entropic solver on each pair, reusing one cloud per component.
+    deterministic); ``sampled`` draws ``n_samples`` (at least 1) per component
+    and runs the entropic solver on each pair, reusing one cloud per component.
     """
     if mix_s.dim != mix_t.dim:
         raise ValueError("dimension mismatch between mixtures")
-    ks, kt = mix_s.k, mix_t.k
-    dist = np.zeros((ks, kt))
     if pairwise == "analytic":
-        for i in range(ks):
-            for j in range(kt):
-                dist[i, j] = gaussian_w2(mix_s.components[i], mix_t.components[j])
-    elif pairwise == "sampled":
-        rng = np.random.default_rng(seed)
-        clouds_s = [sample_gaussian(c, n_samples, rng) for c in mix_s.components]
-        clouds_t = [sample_gaussian(c, n_samples, rng) for c in mix_t.components]
-        dist = w1_matrix(clouds_s, clouds_t, reg, max_iter, tol, reg_mode)
-    else:
+        return _pair_table(mix_s.components, mix_t.components, gaussian_w2)
+    if pairwise != "sampled":
         raise ValueError(f"unknown pairwise mode {pairwise!r}")
-    return dist
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    rng = np.random.default_rng(seed)
+    clouds_s = [sample_gaussian(c, n_samples, rng) for c in mix_s.components]
+    clouds_t = [sample_gaussian(c, n_samples, rng) for c in mix_t.components]
+    return _pair_table(clouds_s, clouds_t,
+                       lambda x, y: w1_empirical(x, y, reg, max_iter, tol, reg_mode))
 
 
 def mw1_gmm(

@@ -185,7 +185,8 @@ def _paired_distance_audit(source: "Dataset", target: "Dataset", rng) -> _AuditF
                 return _AuditFailure(label, domain)
     parts_s = [p[capped_indices(rng, len(p), AUDIT_SUBSAMPLE)] for p in parts_s]
     parts_t = [p[capped_indices(rng, len(p), AUDIT_SUBSAMPLE)] for p in parts_t]
-    dist = ot.w1_matrix(parts_s, parts_t, reg=0.05, max_iter=2000, tol=1e-5, reg_mode="relative")
+    dist = ot._pair_table(parts_s, parts_t, lambda x, y: ot.w1_empirical(
+        x, y, reg=0.05, max_iter=2000, tol=1e-5, reg_mode="relative"))
     for i in range(k):
         others = np.delete(dist[i], i)
         if others.size and dist[i, i] > others.min():

@@ -208,6 +208,14 @@ INPUT_CHECKS = {
     "pairwise_component_w1[mode]": (
         lambda: ot.pairwise_component_w1(LINE_MIX, LINE_MIX, "x"), "unknown pairwise mode 'x'"
     ),
+    "pairwise_component_w1[n_samples=0]": (
+        lambda: ot.pairwise_component_w1(LINE_MIX, LINE_MIX, "sampled", 0),
+        "n_samples must be positive",
+    ),
+    "pairwise_component_w1[n_samples=-5]": (
+        lambda: ot.pairwise_component_w1(LINE_MIX, LINE_MIX, "sampled", -5),
+        "n_samples must be positive",
+    ),
     "weighted_subdomain_w1[lengths]": (
         lambda: ot.weighted_subdomain_w1([X], [X, X], ClassWeights([1.0])),
         "source and target part lists differ in length",

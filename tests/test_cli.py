@@ -171,6 +171,19 @@ def test_ot_mw1_manifests(tmp_path, capsys):
     assert out["value"] == pytest.approx(1.30, abs=0.01)
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_ot_mw1_sampled_nonpositive_samples_exits_two(tmp_path, capsys, samples):
+    from darsa.ot import GaussianComponent, GaussianMixture
+    from darsa.weights import ClassWeights
+
+    mix = GaussianMixture(ClassWeights(np.array([1.0])), (GaussianComponent([0.0], [[1.0]]),))
+    (tmp_path / "m.json").write_text(json.dumps(mix.to_dict()))
+    manifest = str(tmp_path / "m.json")
+    argv = ["ot", manifest, manifest, "--method", "mw1", "--pairwise", "sampled"]
+    assert main([*argv, "--samples", samples]) == 2
+    assert "n_samples must be positive" in capsys.readouterr().err
+
+
 def test_ot_divergence_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(3)
     from darsa.synthdata import Dataset

@@ -36,7 +36,6 @@ from darsa.ot import (
     uniform_plan,
     w1_empirical,
     w1_exact_1d,
-    w1_matrix,
     weighted_subdomain_w1,
 )
 from darsa.weights import ClassWeights
@@ -1303,6 +1302,34 @@ def _random_separated_pair(rng, k, d, eps):
     return GaussianMixture(w_s, tuple(comps_s)), GaussianMixture(w_t, tuple(comps_t))
 
 
+def _random_mixture(rng, k, d):
+    comps = []
+    for _ in range(k):
+        root = rng.normal(size=(d, d))
+        comps.append(GaussianComponent(rng.normal(size=d), root @ root.T / d + 0.05 * np.eye(d)))
+    return GaussianMixture(ClassWeights(rng.dirichlet(np.ones(k))), tuple(comps))
+
+
+@pytest.mark.parametrize("pairwise", ["analytic", "sampled"])
+def test_pairwise_component_w1_fills_its_table_with_its_pair_distance(pairwise):
+    # Bitwise, source components as rows. Analytic: each entry is the pair's
+    # gaussian_w2. Sampled: the w1_empirical, at the given settings, of the
+    # clouds drawn from default_rng(seed), source components first.
+    rng = np.random.default_rng(21)
+    mix_s, mix_t = _random_mixture(rng, 3, 2), _random_mixture(rng, 2, 2)
+    solver = dict(reg=0.05, max_iter=2000, tol=1e-5, reg_mode="relative")
+    table = pairwise_component_w1(mix_s, mix_t, pairwise, n_samples=40, seed=7, **solver)
+    if pairwise == "analytic":
+        want = [[gaussian_w2(p, q) for q in mix_t.components] for p in mix_s.components]
+    else:
+        draw = np.random.default_rng(7)
+        clouds_s = [ot.sample_gaussian(c, 40, draw) for c in mix_s.components]
+        clouds_t = [ot.sample_gaussian(c, 40, draw) for c in mix_t.components]
+        want = [[w1_empirical(x, y, **solver) for y in clouds_t] for x in clouds_s]
+    assert table.dtype == np.float64
+    assert table.tolist() == want
+
+
 def test_mw1_dominance_chain():
     # weighted paired sum <= MW1 <= pooled W1 + 4 sqrt(eps), within
     # sampling slack.
@@ -1384,10 +1411,9 @@ def test_weighted_subdomain_skips_and_errors():
     sizes=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_per_class_and_w1_matrix_match_w1_empirical(sizes, seed):
+def test_per_class_matches_w1_empirical(sizes, seed):
     # Bitwise: per_class[k] is the pair's own w1_empirical (0.0 when a side
-    # is empty), value is the in-order weighted sum of per_class, and
-    # w1_matrix is the double w1_empirical loop.
+    # is empty), and value is the in-order weighted sum of per_class.
     rng = np.random.default_rng(seed)
     k = len(sizes)
     parts_s = [rng.normal(size=(n, 2)) for n, _ in sizes]
@@ -1410,14 +1436,6 @@ def test_per_class_and_w1_matrix_match_w1_empirical(sizes, seed):
         assert result.per_class[c] == want
         total += w_t[c] * want
     assert result.value == total
-
-    clouds_s = [p for p in parts_s if len(p)]
-    clouds_t = [p for p in parts_t if len(p)]
-    table = w1_matrix(clouds_s, clouds_t, **kwargs)
-    assert table.shape == (len(clouds_s), len(clouds_t))
-    for i, x in enumerate(clouds_s):
-        for j, y in enumerate(clouds_t):
-            assert table[i, j] == w1_empirical(x, y, **kwargs)
 
 
 # ---------------------------------------------------------------------------
