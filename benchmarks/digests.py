@@ -12,6 +12,8 @@ Runs, against the darsa package under ``--src`` (default: this checkout's
 - ``darsa figure1 --n 2000`` at seeds 0, 1 and 5: stdout and CSV;
 - ``darsa gen`` of the figure1 and gmm tasks at their defaults: stdout,
   manifest and CSVs;
+- ``darsa bounds`` on the gmm files that ``gen`` wrote (a pooled 2000-point
+  solve): stdout, ``boundreport.json`` and ``bound_comparison.csv``;
 - ``mw1_gmm`` in analytic mode on 300 random mixture pairs (the
   ``ot-mixture`` generator of ``perfbench/workloads.py``, seeded 0): the
   ``repr`` of every value and plan;
@@ -101,6 +103,10 @@ def cli_digests(workloads):
         yield f"gen[{task}].stdout", digest(cli(["gen", "--task", task, "--out", out]))
         for name in ("manifest.json", "source.csv", "target.csv"):
             yield f"gen[{task}].{name}", digest(Path(out, name).read_bytes())
+    bounds = ["bounds", "--source", "gen-gmm/source.csv", "--target", "gen-gmm/target.csv"]
+    yield "bounds.stdout", digest(cli([*bounds, "--out", "bounds"]))
+    for name in ("boundreport.json", "bound_comparison.csv"):
+        yield f"bounds.{name}", digest(Path("bounds", name).read_bytes())
 
 
 def mixture_digest(workloads):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bounds, ot, training
 from .synthdata import Dataset, make_figure1_task, make_shifted_gmm
-from .weights import ClassWeights
+from .weights import ClassWeights, aligned_classes, class_rows
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -245,13 +245,14 @@ def cmd_figure1(args) -> int:
     cluster, pooled W1, the reweighted sum, and the variance slack. The task
     is one-dimensional, so every W1 is exact."""
     source, target = make_figure1_task(args.sigma, args.n, args.seed)
+    skipped = aligned_classes(class_rows(source.labels, 2), class_rows(target.labels, 2))[1]
+    if skipped:
+        raise ValueError(f"cluster {skipped[0]} is empty in one domain")
     w_t = target.class_proportions()
     overall, weighted, slack = bounds.discrepancy_terms(
         source.features, source.labels, target.features, target.labels, w_t,
         reg=args.reg, max_iter=args.max_iter, tol=args.tol,
     )
-    if weighted.skipped:
-        raise ValueError(f"cluster {weighted.skipped[0]} is empty in one domain")
     holds = bool(weighted.value <= overall + slack)
     out = _out_dir(args.out)
     with (out / "figure1.csv").open("w", newline="") as fh:

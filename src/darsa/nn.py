@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import ot
-from .weights import ClassWeights, as_features, as_labels, as_parts, class_rows
+from .weights import ClassWeights, aligned_classes, as_features, as_labels, as_parts, class_rows
 
 LEAKY_SLOPE = 0.01
 CHECKPOINT_FORMAT_VERSION = 1
@@ -362,12 +362,10 @@ def loss_discrepancy_weighted(
     value = 0.0
     grad_s = np.zeros_like(feat_s)
     grad_t = np.zeros_like(feat_t)
-    skipped = []
+    aligned, skipped = aligned_classes(rows_s, rows_t)
     couplings = {}
-    for k, (idx_s, idx_t) in enumerate(zip(rows_s, rows_t)):
-        if idx_s.size == 0 or idx_t.size == 0:
-            skipped.append(k)
-            continue
+    for k in aligned:
+        idx_s, idx_t = rows_s[k], rows_t[k]
         xs, xt = feat_s[idx_s], feat_t[idx_t]
         plan, cost, _ = ot.uniform_plan(xs, xt, reg, max_iter, tol, reg_mode)
         weight = w_t[k]
@@ -377,7 +375,7 @@ def loss_discrepancy_weighted(
         direction = np.where(cost > 1e-12, plan.coupling / np.maximum(cost, 1e-12), 0.0)
         grad_s[idx_s] += weight * (direction.sum(axis=1)[:, None] * xs - direction @ xt)
         grad_t[idx_t] += weight * (direction.sum(axis=0)[:, None] * xt - direction.T @ xs)
-    return DiscrepancyResult(float(value), grad_s, grad_t, tuple(skipped), couplings)
+    return DiscrepancyResult(float(value), grad_s, grad_t, skipped, couplings)
 
 
 def loss_intra(features, labels, margin: float) -> LossValue:
@@ -417,22 +415,17 @@ def loss_inter(parts_s: Sequence[np.ndarray], parts_t: Sequence[np.ndarray]) -> 
     """
     if len(parts_s) != len(parts_t):
         raise ValueError("source and target class lists differ in length")
-    k = len(parts_s)
-    if k < 1:
+    if len(parts_s) < 1:
         raise ValueError("need at least one class")
     parts_s, d = as_parts(parts_s, "parts_s")
     parts_t = as_parts(parts_t, "parts_t", d)[0]
-    active, skipped = [], []
-    for i, (ps, pt) in enumerate(zip(parts_s, parts_t)):
-        (active if ps.size and pt.size else skipped).append(i)
+    aligned, skipped = aligned_classes(parts_s, parts_t)
     grads_s = [np.zeros_like(p) for p in parts_s]
     grads_t = [np.zeros_like(p) for p in parts_t]
-    if not active:
-        return InterResult(0.0, grads_s, grads_t, tuple(skipped))
     value = 0.0
-    for i in active:
+    for i in aligned:
         diff = parts_s[i].mean(axis=0) - parts_t[i].mean(axis=0)
         value += float(diff @ diff)
-        grads_s[i] += 2.0 * diff[None, :] / (len(active) * parts_s[i].shape[0])
-        grads_t[i] -= 2.0 * diff[None, :] / (len(active) * parts_t[i].shape[0])
-    return InterResult(value / len(active), grads_s, grads_t, tuple(skipped))
+        grads_s[i] += 2.0 * diff[None, :] / (len(aligned) * parts_s[i].shape[0])
+        grads_t[i] -= 2.0 * diff[None, :] / (len(aligned) * parts_t[i].shape[0])
+    return InterResult(value / max(len(aligned), 1), grads_s, grads_t, skipped)

@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .weights import ClassWeights, as_features, as_parts, as_simplex, class_rows
+from .weights import ClassWeights, aligned_classes, as_features, as_parts, as_simplex, class_rows
 
 PSD_TOL = 1e-9
 W2_EXP = 200  # gaussian_w2 rescales a pair whose scale is past 2**±this
@@ -944,15 +944,12 @@ def _subdomain_sum(source_parts, target_parts, w_t, distance) -> WeightedSubdoma
         raise ValueError("weights do not match the number of sub-domains")
     source_parts, d = as_parts(source_parts, "source_parts")
     target_parts = as_parts(target_parts, "target_parts", d)[0]
-    total = 0.0
-    skipped = []
-    per_class = [0.0] * w_t.k
-    for k, (xs, xt) in enumerate(zip(source_parts, target_parts)):
-        if xs.size == 0 or xt.size == 0:
-            skipped.append(k)
-            continue
-        per_class[k] = distance(xs, xt)
-        total += w_t[k] * per_class[k]
-    if len(skipped) == len(source_parts):
+    aligned, skipped = aligned_classes(source_parts, target_parts)
+    if not aligned:
         raise ValueError("no aligned sub-domains")
-    return WeightedSubdomainW1(float(total), tuple(skipped), tuple(per_class))
+    total = 0.0
+    per_class = [0.0] * w_t.k
+    for k in aligned:
+        per_class[k] = distance(source_parts[k], target_parts[k])
+        total += w_t[k] * per_class[k]
+    return WeightedSubdomainW1(float(total), skipped, tuple(per_class))

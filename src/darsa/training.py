@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, nn, ot
 from .synthdata import Dataset, capped_indices
-from .weights import ClassWeights, as_features, as_labels, class_rows
+from .weights import ClassWeights, aligned_classes, as_features, as_labels, class_rows
 
 
 class TrainingError(RuntimeError):
@@ -197,6 +197,8 @@ def apply_models(encoder: nn.NetworkParams, classifier: nn.NetworkParams, x) -> 
     argmax ties resolve to the lowest class id."""
     feats, _ = nn.forward(encoder, as_features(x, "x", encoder.in_dim))
     logits, _ = nn.forward(classifier, feats)
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("non-finite network output")
     return feats, logits, np.argmax(logits, axis=1)
 
 
@@ -323,12 +325,15 @@ def compute_step_gradients(
     d_feat_s = bp_cls.input_grad.copy()
     d_feat_t = np.zeros_like(feat_t)
 
+    skipped = ()
+    if config.lambda_d > 0 or config.lambda_a > 0:
+        rows_s, rows_t = class_rows(yb_s, k), class_rows(pseudo, k)
+        skipped = aligned_classes(rows_s, rows_t)[1]
+
     l_d = 0.0
-    skipped = set()
     if config.lambda_d > 0:
         disc = nn.loss_discrepancy_weighted(feat_s, yb_s, feat_t, pseudo, w_t, **_solver(config))
         l_d = disc.value
-        skipped.update(disc.skipped)
         d_feat_s += config.lambda_d * disc.grad_source
         d_feat_t += config.lambda_d * disc.grad_target
 
@@ -342,11 +347,8 @@ def compute_step_gradients(
 
     l_inter = 0.0
     if config.lambda_a > 0:
-        rows_s = class_rows(yb_s, k)
-        rows_t = class_rows(pseudo, k)
         inter = nn.loss_inter([feat_s[r] for r in rows_s], [feat_t[r] for r in rows_t])
         l_inter = inter.value
-        skipped.update(inter.skipped)
         for c in range(k):
             d_feat_s[rows_s[c]] += config.lambda_a * inter.grads_source[c]
             d_feat_t[rows_t[c]] += config.lambda_a * inter.grads_target[c]

@@ -86,6 +86,14 @@ def class_rows(labels, k: int, n: int | None = None) -> list:
     return [np.flatnonzero(labels == c) for c in range(k)]
 
 
+def aligned_classes(source, target) -> tuple:
+    """``(aligned, skipped)`` of two per-class sequences of one length (parts or row
+    indices): the classes non-empty on both sides as a list, the others as a tuple,
+    each in class order. Every paired per-class term aligns and skips by this rule."""
+    both = [bool(np.size(s) and np.size(t)) for s, t in zip(source, target)]
+    return [c for c, b in enumerate(both) if b], tuple(c for c, b in enumerate(both) if not b)
+
+
 @dataclass(frozen=True)
 class ClassWeights:
     """A point on the (K-1)-simplex, checked by ``as_simplex``."""

@@ -3,6 +3,7 @@
 import inspect
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +12,7 @@ import pytest
 from referencing import Registry, Resource
 
 import darsa
+from darsa import nn
 from darsa.bounds import bound_report
 from darsa.cli import _TASKS, _task_datasets, main
 from darsa.synthdata import Dataset, make_figure1_task, make_shifted_gmm
@@ -303,6 +305,22 @@ def test_bounds_checkpoint_format_version_exits_two(figure1_csvs, tmp_path, caps
     assert f"unsupported checkpoint format version {expected}" in capsys.readouterr().err
 
 
+def test_bounds_non_finite_checkpoint_output_exits_two(figure1_csvs, tmp_path, capsys):
+    # Finite but huge classifier weights overflow to non-finite logits, whose
+    # argmax would be no prediction.
+    encoder, classifier = default_networks(1, 2, DarsaConfig(), np.random.default_rng(0))
+    huge = nn.NetworkParams(tuple(replace(layer, weight=layer.weight * 1e300)
+                                  for layer in classifier.layers))
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(DarsaModels(encoder, encoder, huge).to_dict()))
+    src, tgt = figure1_csvs
+    out_dir = tmp_path / "bounds"
+    argv = ["bounds", "--source", str(src), "--target", str(tgt), "--checkpoint", str(path)]
+    assert main([*argv, "--out", str(out_dir)]) == 2
+    assert "non-finite network output" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_bounds_identical_domains(figure1_csvs, tmp_path):
     src, _ = figure1_csvs
     out_dir = tmp_path / "bounds2"
@@ -447,8 +465,12 @@ def test_train_seed_override_changes_metrics(tmp_path):
         # target-weight estimate is the first thing to overflow.
         ({"task": {"name": "figure1", "n_per_domain": 100},
           "darsa": {"lr": 1e200, "epochs": 1, "pretrain_epochs": 1}}, "epoch 1, batch -1"),
+        # At lr 1e300 the pretrained networks give a non-finite output instead.
+        ({"task": {"name": "figure1", "n_per_domain": 100},
+          "darsa": {"lr": 1e300, "epochs": 1, "pretrain_epochs": 1}},
+         "epoch 1, batch -1: non-finite network output"),
     ],
-    ids=["step", "estimate"],
+    ids=["step", "estimate", "output"],
 )
 def test_train_failure_exit_code(tmp_path, capsys, document, where):
     config = _train_config(tmp_path, darsa={"lr": 1e200, "pretrain_epochs": 0, "seed": 1})
@@ -675,11 +697,13 @@ def test_sigma_with_overflowing_square_exits_two(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-def test_figure1_empty_cluster_exits_two(tmp_path, capsys):
-    # Three samples per domain at seed 0 leave cluster 1 empty on one side;
-    # the diagnostic needs every paired W1, so it is an input error.
-    assert main(["figure1", "--n", "3", "--seed", "0", "--out", str(tmp_path)]) == 2
-    assert "cluster 1 is empty" in capsys.readouterr().err
+@pytest.mark.parametrize("n, seed, cluster", [(3, 0, 1), (2, 0, 0), (2, 1, 1)])
+def test_figure1_empty_cluster_exits_two(tmp_path, capsys, n, seed, cluster):
+    # A small draw can leave a cluster empty on one side; the diagnostic
+    # needs every paired W1, so it is an input error that names the cluster,
+    # also when the two domains share no cluster at all (n 2, seed 0).
+    assert main(["figure1", "--n", str(n), "--seed", str(seed), "--out", str(tmp_path)]) == 2
+    assert f"cluster {cluster} is empty in one domain" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,15 @@ def test_sinkhorn_identical_clouds_small_cost():
     assert plan.cost <= 0.05
 
 
+def test_relative_reg_of_a_degenerate_cost_falls_back_to_reg():
+    # A cost of mean 0 gives no scale: relative reg is then taken as absolute.
+    assert ot.effective_reg(np.zeros((2, 3)), 0.05, "relative") == 0.05
+    x = np.ones((3, 2))
+    plan, _, info = ot.uniform_plan(x, x, 0.05, 1000, 1e-6, "relative")
+    assert plan.cost == 0.0
+    assert info.converged
+
+
 def test_sinkhorn_oracle_equivalence():
     rng = np.random.default_rng(5)
     for _ in range(10):

@@ -128,6 +128,19 @@ def test_accuracy_labels_must_cover_the_rows():
         accuracy(encoder, encoder, x, [0])
 
 
+def test_non_finite_network_output_raises():
+    # Finite weights of 1e300 overflow to logits inf and inf - inf = NaN;
+    # argmax of those is no prediction.
+    encoder = nn.NetworkParams((nn.Layer(1e300 * np.eye(2), np.zeros(2), "identity"),))
+    weight = np.array([[1e300, 0.0], [1e300, -1e300]])
+    classifier = nn.NetworkParams((nn.Layer(weight, np.zeros(2), "identity"),))
+    x = np.ones((3, 2))
+    with pytest.raises(ValueError, match="non-finite network output"):
+        predict(encoder, classifier, x)
+    with pytest.raises(ValueError, match="non-finite network output"):
+        accuracy(encoder, classifier, x, [0, 1, 1])
+
+
 def test_estimate_weights_uniform_logits():
     encoder = nn.NetworkParams((nn.Layer(np.eye(2), np.zeros(2), "identity"),))
     classifier = nn.NetworkParams((nn.Layer(np.zeros((4, 2)), np.zeros(4), "identity"),))
@@ -448,11 +461,14 @@ def test_target_encoder_gradient_scope():
         assert max_rel_error(d_bias, fd_gradient(alignment_objective, layer.bias)) <= 1e-4
 
 
-def test_skipped_pairs_counts_each_class_once():
+@pytest.mark.parametrize(
+    "lambda_d, lambda_a, expected", [(0.2, 0.2, 3), (0.2, 0.0, 3), (0.0, 0.2, 3), (0.0, 0.0, 0)]
+)
+def test_skipped_pairs_counts_each_class_once(lambda_d, lambda_a, expected):
     # Source labels {0, 1}, every target pseudo-label 2: each of the three
     # classes misses a side in both the discrepancy and the inter loss, and
-    # is still counted once.
-    config = DarsaConfig(**QUICK, seed=5)
+    # is still counted once. With neither loss on, nothing is aligned or skipped.
+    config = DarsaConfig(**{**QUICK, "lambda_d": lambda_d, "lambda_a": lambda_a}, seed=5)
     rng = np.random.default_rng(config.seed)
     encoder, _ = default_networks(2, 3, config, rng)
     classifier = nn.NetworkParams(
@@ -464,4 +480,4 @@ def test_skipped_pairs_counts_each_class_once():
     step = compute_step_gradients(encoder, encoder, classifier, xb_s, yb_s, xb_t, w, w, config)
     feat_t, _ = nn.forward(encoder, xb_t)
     assert (np.argmax(nn.forward(classifier, feat_t)[0], axis=1) == 2).all()
-    assert step.skipped_pairs == 3
+    assert step.skipped_pairs == expected
