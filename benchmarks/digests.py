@@ -14,6 +14,9 @@ Runs, against the darsa package under ``--src`` (default: this checkout's
   manifest and CSVs;
 - ``darsa bounds`` on the gmm files that ``gen`` wrote (a pooled 2000-point
   solve): stdout, ``boundreport.json`` and ``bound_comparison.csv``;
+- ``darsa bounds --checkpoint`` of the ``train`` run on the figure1 files
+  that ``gen`` wrote (one-column features, exact W1; the target weights come
+  from the checkpoint's pseudo-labels): the same three outputs;
 - ``mw1_gmm`` in analytic mode on 300 random mixture pairs (the
   ``ot-mixture`` generator of ``perfbench/workloads.py``, seeded 0): the
   ``repr`` of every value and plan;
@@ -107,6 +110,11 @@ def cli_digests(workloads):
     yield "bounds.stdout", digest(cli([*bounds, "--out", "bounds"]))
     for name in ("boundreport.json", "bound_comparison.csv"):
         yield f"bounds.{name}", digest(Path("bounds", name).read_bytes())
+    bounds = ["bounds", "--source", "gen-figure1/source.csv", "--target", "gen-figure1/target.csv",
+              "--checkpoint", "run/checkpoint.json"]
+    yield "bounds-ckpt.stdout", digest(cli([*bounds, "--out", "bounds-ckpt"]))
+    for name in ("boundreport.json", "bound_comparison.csv"):
+        yield f"bounds-ckpt.{name}", digest(Path("bounds-ckpt", name).read_bytes())
 
 
 def mixture_digest(workloads):

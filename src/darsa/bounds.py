@@ -18,7 +18,7 @@ therefore compares partial bounds only.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,15 +35,13 @@ class SubdomainPartition:
 
     assignments: np.ndarray
     k: int
-    rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("K must be positive")
         assignments = as_labels(self.assignments)
-        object.__setattr__(self, "assignments", assignments)
         try:
-            object.__setattr__(self, "rows", class_rows(assignments, self.k))
+            object.__setattr__(self, "assignments", as_labels(assignments, self.k))
         except ValueError:
             raise ValueError(f"assignment outside 0..{self.k - 1}") from None
 
@@ -112,14 +110,10 @@ def subdomain_risks(predictions, labels, partition: SubdomainPartition) -> Subdo
     predictions, labels = _check_paired(predictions, labels)
     if partition.n != predictions.size:
         raise ValueError("partition does not cover the samples")
-    risks = np.zeros(partition.k)
-    skipped = []
-    for k, rows in enumerate(partition.rows):
-        if rows.size == 0:
-            skipped.append(k)
-            continue
-        risks[k] = float(np.mean(predictions[rows] != labels[rows]))
-    return SubdomainRisks(risks, tuple(skipped))
+    sizes = np.bincount(partition.assignments, minlength=partition.k)
+    errors = np.bincount(partition.assignments, weights=predictions != labels, minlength=partition.k)
+    risks = np.divide(errors, sizes, out=np.zeros(partition.k), where=sizes > 0)
+    return SubdomainRisks(risks, tuple(int(c) for c in np.flatnonzero(sizes == 0)))
 
 
 def check_decomposition(predictions, labels, partition: SubdomainPartition) -> float:
@@ -131,7 +125,7 @@ def check_decomposition(predictions, labels, partition: SubdomainPartition) -> f
     """
     overall = source_risk(predictions, labels)
     per_class = subdomain_risks(predictions, labels, partition).risks
-    props = np.array([rows.size for rows in partition.rows]) / partition.n
+    props = np.bincount(partition.assignments, minlength=partition.k) / partition.n
     return float(abs(overall - float(props @ per_class)))
 
 

@@ -109,6 +109,7 @@ def _write_bound_csv(path: Path, rows) -> None:
 
 def cmd_ot(args) -> int:
     """Distance between two clouds (CSV) or two mixtures (JSON manifests)."""
+    ot._check_solver(args.reg, args.max_iter, args.tol)
     method = args.method
     iterations = 0
     if method == "mw1":
@@ -383,7 +384,7 @@ def main(argv=None) -> int:
     except training.TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -374,6 +374,9 @@ def _epoch_snapshot(
     snap_rng = np.random.default_rng(config.seed * 100003 + epoch)
     idx_s = capped_indices(snap_rng, source.n, config.snapshot_max)
     idx_t = capped_indices(snap_rng, target.n, config.snapshot_max)
+    rows = [class_rows(labels, w_t.k) for labels in (source.labels[idx_s], pseudo_t[idx_t])]
+    if not aligned_classes(*rows)[0]:
+        raise ValueError(f"the snapshot subsamples share no class; snapshot_max is {config.snapshot_max}")
     report = bounds.bound_report(
         feat_s[idx_s], preds_s[idx_s], source.labels[idx_s],
         feat_t[idx_t], pseudo_t[idx_t], w_t, **_solver(config)

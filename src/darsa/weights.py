@@ -121,5 +121,5 @@ class ClassWeights:
         """Empirical class proportions of an integer label vector."""
         if np.size(labels) == 0:
             raise ValueError("empty label vector")
-        counts = np.array([rows.size for rows in class_rows(labels, k)], dtype=float)
+        counts = np.bincount(as_labels(labels, k), minlength=k).astype(float)
         return ClassWeights(counts / counts.sum())

@@ -84,6 +84,22 @@ def test_partition_validation():
         SubdomainPartition([0, 3], 3)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 6), n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_class_counts_equal_the_per_class_means(k, n, seed):
+    # Sizes and error counts taken by counting give the per-class means of
+    # the grouped rows bit for bit, also where a draw leaves classes empty.
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(rng.choice(k, size=rng.integers(1, k + 1), replace=False), size=n)
+    preds = np.where(rng.random(n) < rng.random(), labels + 1, labels)
+    rows = [np.flatnonzero(labels == c) for c in range(k)]
+    result = subdomain_risks(preds, labels, SubdomainPartition(labels, k))
+    assert result.risks.tolist() == [np.mean(preds[r] != labels[r]) if r.size else 0.0 for r in rows]
+    assert result.skipped == tuple(c for c in range(k) if rows[c].size == 0)
+    sizes = np.array([r.size for r in rows], dtype=float)
+    assert ClassWeights.from_labels(labels, k).w.tolist() == (sizes / sizes.sum()).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Decomposition identity
 # ---------------------------------------------------------------------------

@@ -215,15 +215,35 @@ def test_nan_reg_exits_two(figure1_csvs, tmp_path, capsys, reg):
     assert capsys.readouterr().err.count("reg must be positive and finite") == 3
 
 
-@pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        ("--reg", "0", "reg must be positive and finite"),
-        ("--reg", "-1", "reg must be positive and finite"),
-        ("--max-iter", "0", "max_iter must be positive"),
-        ("--tol", "-1", "tol must be non-negative"),
-    ],
-)
+SOLVER_FLAG_ERRORS = [
+    ("--reg", "0", "reg must be positive and finite"),
+    ("--reg", "-1", "reg must be positive and finite"),
+    ("--max-iter", "0", "max_iter must be positive"),
+    ("--tol", "-1", "tol must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("method", ["exact1d", "exact", "mw1"])
+@pytest.mark.parametrize("flag, value, message", SOLVER_FLAG_ERRORS)
+def test_ot_solver_flag_out_of_range_exits_two_for_every_method(tmp_path, capsys, method, flag,
+                                                               value, message):
+    # The exact methods and analytic mw1 run no Sinkhorn solve; their solver
+    # flags are still checked, as every other subcommand checks them.
+    if method == "mw1":
+        from darsa.ot import GaussianComponent, GaussianMixture
+        from darsa.weights import ClassWeights
+
+        mix = GaussianMixture(ClassWeights(np.array([1.0])), (GaussianComponent([0.0], [[1.0]]),))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(mix.to_dict()))
+    else:
+        path = tmp_path / "a.csv"
+        Dataset(np.random.default_rng(4).normal(size=(10, 1)), None, 1).to_csv(path)
+    assert main(["ot", str(path), str(path), "--method", method, flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, value, message", SOLVER_FLAG_ERRORS)
 def test_one_column_solver_flag_out_of_range_exits_two(figure1_csvs, tmp_path, capsys, flag,
                                                        value, message):
     # On one-column features figure1 and bounds report exact W1 terms and
@@ -469,8 +489,13 @@ def test_train_seed_override_changes_metrics(tmp_path):
         ({"task": {"name": "figure1", "n_per_domain": 100},
           "darsa": {"lr": 1e300, "epochs": 1, "pretrain_epochs": 1}},
          "epoch 1, batch -1: non-finite network output"),
+        # Two-row snapshot subsamples that share no class leave the bound no
+        # aligned sub-domain.
+        ({"task": {"name": "figure1", "n_per_domain": 50},
+          "darsa": {"epochs": 1, "pretrain_epochs": 1, "snapshot_max": 2}},
+         "epoch 1, batch -1: the snapshot subsamples share no class; snapshot_max is 2"),
     ],
-    ids=["step", "estimate", "output"],
+    ids=["step", "estimate", "output", "snapshot"],
 )
 def test_train_failure_exit_code(tmp_path, capsys, document, where):
     config = _train_config(tmp_path, darsa={"lr": 1e200, "pretrain_epochs": 0, "seed": 1})
@@ -694,6 +719,33 @@ def test_sigma_with_overflowing_square_exits_two(tmp_path, capsys, argv):
         warnings.simplefilter("error", RuntimeWarning)
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert "sigma must have a finite square" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+PAST_INT64 = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure1", "--n", PAST_INT64],
+        ["gen", "--task", "figure1", "--n", PAST_INT64],
+        ["gen", "--task", "gmm", "--n", PAST_INT64],
+        ["gen", "--task", "gmm", "--k", "1", "--source-props", "[1]", "--target-props", "[1]",
+         "--d", PAST_INT64],
+        ["train"],
+    ],
+    ids=["figure1", "gen-figure1", "gen-gmm", "gen-gmm-d", "train"],
+)
+def test_integer_past_int64_exits_two(tmp_path, capsys, argv):
+    # numpy cannot hold such a sample or column count and raises
+    # OverflowError, which exited 1 with a traceback.
+    if argv == ["train"]:
+        task = {"name": "figure1", "n_per_domain": int(PAST_INT64)}
+        argv = ["train", "--config", str(_train_config(tmp_path, task=task))]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

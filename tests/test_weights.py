@@ -129,7 +129,7 @@ ENTRY_POINTS = {
     "loss_discrepancy_weighted[pseudo_t]": lambda y: loss_discrepancy_weighted(
         FEAT, Y, FEAT + 0.5, y, W
     ),
-    "SubdomainPartition": lambda y: SubdomainPartition(y, 2).rows,
+    "SubdomainPartition": lambda y: SubdomainPartition(y, 2).assignments,
     "source_risk[predictions]": lambda y: source_risk(y, Y),
     "source_risk[labels]": lambda y: source_risk(Y, y),
     "subdomain_risks": lambda y: subdomain_risks(Y[::-1], y, SubdomainPartition(Y, 2)),
