@@ -1,6 +1,6 @@
 """Print a sha256 prefix of each output that a byte-identical change must keep.
 
-    python3 benchmarks/digests.py [--src <checkout>/src]
+    python3 benchmarks/digests.py [--src <checkout>/src] [--against <other checkout>/src]
 
 Runs, against the darsa package under ``--src`` (default: this checkout's
 ``src``) and with BLAS and OpenMP pinned to one thread:
@@ -27,10 +27,12 @@ Runs, against the darsa package under ``--src`` (default: this checkout's
   ``sample_gmm`` draws at seeds 3000+s and 4000+s (a
   ``SinkhornDivergenceError`` by its iterations and residual).
 
-Each line is ``<name> <first 16 hex digits>``. Run it on two trees and
-compare the columns: every line must agree for a byte-identical change.
-The README inputs come from ``perfbench/workloads.py`` of this checkout,
-so both runs use the same inputs.
+Each line is ``<name> <first 16 hex digits>``; every line must agree between
+two trees for a byte-identical change. With ``--against``, both trees are
+digested, each in its own process, and only the lines that differ are
+printed (``<name> <--src digest> <--against digest>``), then ``N of N
+equal``; the exit code is 1 if any line differs. The README inputs come from
+``perfbench/workloads.py`` of this checkout, so both runs use the same inputs.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -149,13 +152,40 @@ def mixture_chain_digests(workloads):
         yield f"ot-mixture[seed={seed}]", digest(repr(chain))
 
 
+def package_dir(path) -> Path:
+    src = Path(path).resolve()
+    if not (src / "darsa" / "__init__.py").is_file():
+        raise SystemExit(f"error: no darsa package under {src}")
+    return src
+
+
+def compare(src: Path, against: Path) -> int:
+    """Digest both trees, each in its own process (both import ``darsa``); print the
+    lines that differ, with both digests, and ``N of N equal``. 1 if any differ."""
+    runs = []
+    for tree in (src, against):
+        run = subprocess.run([sys.executable, __file__, "--src", str(tree)],
+                             capture_output=True, text=True)
+        if run.returncode != 0:
+            raise SystemExit(f"error: digests of {tree} failed:\n{run.stderr}")
+        runs.append(dict(line.split() for line in run.stdout.splitlines()))
+    names = list(dict.fromkeys([*runs[0], *runs[1]]))
+    differ = [name for name in names if runs[0].get(name) != runs[1].get(name)]
+    for name in differ:
+        print(name, runs[0].get(name, "-"), runs[1].get(name, "-"))
+    print(f"{len(names) - len(differ)} of {len(names)} equal")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="src directory of the tree to digest")
+    parser.add_argument("--against", help="src directory of a second tree: print only the "
+                        "lines that differ between the two, then how many are equal")
     args = parser.parse_args(argv)
-    src = Path(args.src).resolve()
-    if not (src / "darsa" / "__init__.py").is_file():
-        raise SystemExit(f"error: no darsa package under {src}")
+    src = package_dir(args.src)
+    if args.against:
+        return compare(src, package_dir(args.against))
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import workloads
 

@@ -18,6 +18,7 @@ therefore compares partial bounds only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
@@ -39,11 +40,7 @@ class SubdomainPartition:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("K must be positive")
-        assignments = as_labels(self.assignments)
-        try:
-            object.__setattr__(self, "assignments", as_labels(assignments, self.k))
-        except ValueError:
-            raise ValueError(f"assignment outside 0..{self.k - 1}") from None
+        object.__setattr__(self, "assignments", as_labels(self.assignments, self.k))
 
     @property
     def n(self) -> int:
@@ -134,7 +131,9 @@ def delta_c(parts: Sequence[np.ndarray]) -> float:
 
     Four times the square root of the largest per-part empirical
     covariance trace. The parts share one feature space; parts with fewer
-    than two samples contribute zero.
+    than two samples contribute zero. A part whose covariance overflows is
+    redone in units of the power of two at its scale; a value past float64
+    raises.
     """
     parts = [p for p in as_parts(parts, "parts")[0] if p.size]
     if not parts:
@@ -143,9 +142,15 @@ def delta_c(parts: Sequence[np.ndarray]) -> float:
     for p in parts:
         if p.shape[0] < 2:
             continue
-        cov = np.cov(p, rowvar=False)
-        worst = max(worst, float(np.atleast_2d(cov).trace()))
-    return 4.0 * float(np.sqrt(worst))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone or raises
+            k, trace = 0, float(np.atleast_2d(np.cov(p, rowvar=False)).trace())
+            if not np.isfinite(trace):
+                k = math.frexp(float(np.abs(p).max()))[1]
+                trace = float(np.atleast_2d(np.cov(np.ldexp(p, -k), rowvar=False)).trace())
+            worst = max(worst, float(np.ldexp(np.sqrt(trace), k)))
+    if not np.isfinite(4.0 * worst):
+        raise ValueError("delta_c overflows float64")
+    return 4.0 * worst
 
 
 def split_by_class(features: np.ndarray, labels: np.ndarray, k: int) -> list:

@@ -413,8 +413,6 @@ def loss_inter(parts_s: Sequence[np.ndarray], parts_t: Sequence[np.ndarray]) -> 
     lists share one feature space. Gradients are returned per class,
     shaped like the inputs.
     """
-    if len(parts_s) != len(parts_t):
-        raise ValueError("source and target class lists differ in length")
     if len(parts_s) < 1:
         raise ValueError("need at least one class")
     parts_s, d = as_parts(parts_s, "parts_s")

@@ -938,8 +938,6 @@ def weighted_subdomain_w1(
 def _subdomain_sum(source_parts, target_parts, w_t, distance) -> WeightedSubdomainW1:
     """:func:`weighted_subdomain_w1` with ``distance(xs, xt)`` as each pair's
     W1: ``bounds.discrepancy_terms`` passes :func:`w1_exact_1d` on one column."""
-    if len(source_parts) != len(target_parts):
-        raise ValueError("source and target part lists differ in length")
     if len(source_parts) != w_t.k:
         raise ValueError("weights do not match the number of sub-domains")
     source_parts, d = as_parts(source_parts, "source_parts")

@@ -10,6 +10,7 @@ deterministic.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,11 +125,10 @@ class Dataset:
 def _isotropic_mixture(means: np.ndarray, weights, sigma: float) -> ot.GaussianMixture:
     means = np.atleast_2d(np.asarray(means, dtype=float))
     d = means.shape[1]
-    if not np.isfinite(float(sigma) * float(sigma)):  # sigma**2 would raise OverflowError
-        raise ValueError(f"sigma must have a finite square, got {sigma!r}")
-    comps = tuple(
-        ot.GaussianComponent(m, sigma**2 * np.eye(d)) for m in means
-    )
+    # NaN fails both tests; sigma**2 of a float past 1.3e154 raises OverflowError.
+    if not (sigma > 0 and np.isfinite(float(sigma) * float(sigma))):
+        raise ValueError(f"sigma must have a finite square and be positive, got {sigma!r}")
+    comps = tuple(ot.GaussianComponent(m, sigma**2 * np.eye(d)) for m in means)
     return ot.GaussianMixture(ClassWeights(weights), comps)
 
 
@@ -140,8 +140,6 @@ def make_figure1_task(sigma: float, n_per_domain: int, seed: int):
     0.3 and 0.7. Labels record the generating component; target labels are
     included for evaluation only.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     if n_per_domain < 2:
         raise ValueError("need at least two samples per domain")
     src_mix = _isotropic_mixture(
@@ -189,7 +187,7 @@ def _paired_distance_audit(source: "Dataset", target: "Dataset", rng) -> _AuditF
         x, y, reg=0.05, max_iter=2000, tol=1e-5, reg_mode="relative"))
     for i in range(k):
         others = np.delete(dist[i], i)
-        if others.size and dist[i, i] > others.min():
+        if dist[i, i] > others.min():
             return _AuditFailure(i, None)
     return None
 
@@ -215,8 +213,8 @@ def make_shifted_gmm(
     """
     if k < 1 or d < 1:
         raise ValueError("K and d must be positive")
-    if sigma <= 0 or mean_separation <= 0 or target_mean_shift < 0:
-        raise ValueError("scale parameters must be positive")
+    if not (0 < mean_separation < np.inf and 0 <= target_mean_shift < np.inf):
+        raise ValueError("scale parameters must be positive and finite")
     if source_props.k != k or target_props.k != k:
         raise ValueError("proportion vectors must have length K")
     for domain, props in (("source", source_props), ("target", target_props)):
@@ -227,6 +225,13 @@ def make_shifted_gmm(
                 f"{domain} domain, so it is empty in every draw"
             )
     means_s = _grid_means(k, d, mean_separation)
+    reach = math.hypot(*np.ptp(means_s, axis=0)) + target_mean_shift
+    if not math.isfinite(reach * reach):  # the audit's squared distances would overflow
+        raise ValueError(
+            f"mean_separation {mean_separation!r} and target_mean_shift {target_mean_shift!r} "
+            "put classes too far apart: their distances square past float64"
+        )
+    src_mix = _isotropic_mixture(means_s, source_props.w, sigma)
     empty = Counter()  # (class, domain) of each draw that left a class empty
     for attempt in range(AUDIT_RETRIES):
         rng = np.random.default_rng(seed + 1000 * attempt)
@@ -236,7 +241,6 @@ def make_shifted_gmm(
             offset = target_mean_shift * direction
         else:
             offset = np.zeros(d)
-        src_mix = _isotropic_mixture(means_s, source_props.w, sigma)
         tgt_mix = _isotropic_mixture(means_s + offset, target_props.w, sigma)
         sub_seed = int(rng.integers(2**31 - 1))
         xs, ys = ot.sample_gmm(src_mix, n_per_domain, sub_seed)

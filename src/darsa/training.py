@@ -434,6 +434,9 @@ def fit(source: Dataset, target: Dataset, config: DarsaConfig, eval_labels=None)
             bundle = nn.LossBundle.from_parts(
                 *(sums / steps), config.lambda_y, config.lambda_d, config.lambda_c, config.lambda_a,
             )
+            for name, value in bundle.to_dict().items():
+                if not np.isfinite(value):
+                    raise ValueError(f"non-finite epoch loss {name}")
             report, source_acc, target_acc = _epoch_snapshot(
                 *nets, source, target, eval_labels, w_t, config, epoch
             )

@@ -88,8 +88,10 @@ def class_rows(labels, k: int, n: int | None = None) -> list:
 
 def aligned_classes(source, target) -> tuple:
     """``(aligned, skipped)`` of two per-class sequences of one length (parts or row
-    indices): the classes non-empty on both sides as a list, the others as a tuple,
-    each in class order. Every paired per-class term aligns and skips by this rule."""
+    indices; other lengths raise): the classes non-empty on both sides as a list, the
+    others as a tuple, each in class order. Every paired per-class term uses this rule."""
+    if len(source) != len(target):
+        raise ValueError("source and target class lists differ in length")
     both = [bool(np.size(s) and np.size(t)) for s, t in zip(source, target)]
     return [c for c, b in enumerate(both) if b], tuple(c for c, b in enumerate(both) if not b)
 

@@ -218,7 +218,7 @@ INPUT_CHECKS = {
     ),
     "weighted_subdomain_w1[lengths]": (
         lambda: ot.weighted_subdomain_w1([X], [X, X], ClassWeights([1.0])),
-        "source and target part lists differ in length",
+        "source and target class lists differ in length",
     ),
     "weighted_subdomain_w1[k]": (
         lambda: ot.weighted_subdomain_w1([X, X], [X, X], ClassWeights([1.0])),
@@ -300,7 +300,7 @@ INPUT_CHECKS = {
     ),
     "make_shifted_gmm[k]": (lambda: _shifted_gmm(k=0), "K and d must be positive"),
     "make_shifted_gmm[sigma]": (
-        lambda: _shifted_gmm(sigma=0.0), "scale parameters must be positive"
+        lambda: _shifted_gmm(sigma=0.0), "sigma must have a finite square and be positive, got 0.0"
     ),
     "make_shifted_gmm[props]": (
         lambda: _shifted_gmm(k=3), "proportion vectors must have length K"

@@ -80,7 +80,7 @@ def test_subdomain_risks_empty_class_skipped():
 def test_partition_validation():
     with pytest.raises(ValueError, match="K must be positive"):
         SubdomainPartition([0], 0)
-    with pytest.raises(ValueError, match="assignment outside"):
+    with pytest.raises(ValueError, match="label outside 0..2"):
         SubdomainPartition([0, 3], 3)
 
 
@@ -151,6 +151,19 @@ def test_delta_c_isotropic_2d():
 def test_delta_c_all_empty():
     with pytest.raises(ValueError, match="all parts empty"):
         delta_c([np.empty((0, 2))])
+
+
+def test_delta_c_past_the_square_of_float64_scales_by_powers_of_two():
+    # The covariance of features near 1e200 overflows, but 4*sqrt(trace) does
+    # not: it is 2**600 times delta_c of the parts over 2**600, where power-of-two
+    # scaling is exact. It used to be inf, with an overflow warning.
+    rng = np.random.default_rng(0)
+    parts = [1e200 * rng.standard_normal((50, 2)), 1e199 * rng.standard_normal((30, 2))]
+    value = delta_c(parts)
+    assert np.isfinite(value)
+    assert value == 2.0**600 * delta_c([p / 2.0**600 for p in parts])
+    with pytest.raises(ValueError, match="delta_c overflows float64"):
+        delta_c([np.array([[1e308], [-1e308]])])
 
 
 # ---------------------------------------------------------------------------

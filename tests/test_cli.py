@@ -30,6 +30,7 @@ def _registry():
 
 
 def validate(obj, schema_name):
+    json.dumps(obj, allow_nan=False)  # NaN and Infinity are not JSON
     schema = json.loads((SCHEMA_DIR / schema_name).read_text())
     jsonschema.validators.Draft7Validator(schema, registry=_registry()).validate(obj)
 
@@ -494,8 +495,12 @@ def test_train_seed_override_changes_metrics(tmp_path):
         ({"task": {"name": "figure1", "n_per_domain": 50},
           "darsa": {"epochs": 1, "pretrain_epochs": 1, "snapshot_max": 2}},
          "epoch 1, batch -1: the snapshot subsamples share no class; snapshot_max is 2"),
+        # Its margin overflows the hinge term; the mean loss was written as Infinity.
+        ({"task": {"name": "figure1", "n_per_domain": 40},
+          "darsa": {"epochs": 1, "pretrain_epochs": 1, "margin": 1e308}},
+         "epoch 1, batch -1: non-finite epoch loss l_intra"),
     ],
-    ids=["step", "estimate", "output", "snapshot"],
+    ids=["step", "estimate", "output", "snapshot", "loss"],
 )
 def test_train_failure_exit_code(tmp_path, capsys, document, where):
     config = _train_config(tmp_path, darsa={"lr": 1e200, "pretrain_epochs": 0, "seed": 1})
@@ -695,6 +700,17 @@ def test_figure1_terms_equal_bound_report(tmp_path, capsys, seed):
     assert summary["delta_c"] == report.delta_c
 
 
+def test_figure1_wide_clusters_report_finite_delta_c(tmp_path, capsys):
+    # At sigma 1e154 the clusters' covariance overflows; delta_c (about 4e154)
+    # does not, and was printed as Infinity.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["figure1", "--sigma", "1e154", "--n", "200", "--out", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    json.dumps(summary, allow_nan=False)
+    assert 1e154 < summary["delta_c"] < 1e156
+
+
 def test_figure1_sigma_guard(capsys):
     assert main(["figure1", "--sigma", "0"]) == 2
 
@@ -720,6 +736,55 @@ def test_sigma_with_overflowing_square_exits_two(tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert "sigma must have a finite square" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+NOT_FINITE = "scale parameters must be positive and finite"
+TOO_FAR = "mean_separation"  # the overflow message names both scale parameters
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--shift", "nan"], NOT_FINITE),
+        (["gen", "--shift", "inf"], NOT_FINITE),
+        (["gen", "--separation", "nan"], NOT_FINITE),
+        (["gen", "--separation", "inf"], NOT_FINITE),
+        (["gen", "--separation", "1e155"], TOO_FAR),
+        (["gen", "--separation", "1e308"], TOO_FAR),
+        (["gen", "--shift", "1e155"], TOO_FAR),
+        (["train"], NOT_FINITE),
+        (["make_shifted_gmm"], TOO_FAR),
+    ],
+    ids=["shift-nan", "shift-inf", "separation-nan", "separation-inf", "separation-1e155",
+         "separation-1e308", "shift-1e155", "train-shift-nan", "make_shifted_gmm"],
+)
+def test_gmm_scale_not_finite_or_overflowing_exits_two(tmp_path, capsys, argv, message):
+    # A NaN shift was read as no shift and written into manifest.json as NaN,
+    # which is not JSON; an overflowing one reached the audit as an inf cost.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if argv == ["make_shifted_gmm"]:
+            props = darsa.ClassWeights(np.full(3, 1 / 3))
+            with pytest.raises(ValueError, match=message):
+                make_shifted_gmm(3, 2, 1e200, 1e200, props, props, 50, 0.05, 0)
+            return
+        if argv == ["train"]:
+            task = {**GMM_TASK, "target_mean_shift": float("nan")}
+            argv = ["train", "--config", str(_train_config(tmp_path, task=task))]
+        else:
+            argv = [*argv[:1], "--task", "gmm", "--n", "50", *argv[1:]]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_gmm_far_apart_classes_generate(tmp_path):
+    # Squared distances of 1e150-apart classes stay within float64.
+    assert main(["gen", "--task", "gmm", "--n", "50", "--separation", "1e150",
+                 "--out", str(tmp_path / "out")]) == 0
+    validate(json.loads((tmp_path / "out" / "manifest.json").read_text()),
+             "dataset_manifest.schema.json")
 
 
 PAST_INT64 = "99999999999999999999"

@@ -47,7 +47,7 @@ from darsa.training import (
     fit,
     predict,
 )
-from darsa.weights import ClassWeights, as_features, as_labels, class_rows
+from darsa.weights import ClassWeights, aligned_classes, as_features, as_labels, class_rows
 
 # ---------------------------------------------------------------------------
 # as_labels
@@ -98,6 +98,32 @@ def test_as_labels_checks_length_and_range_when_given():
         as_labels([0, 2], k=2)
     with pytest.raises(ValueError, match="label outside 0..1"):
         as_labels([-1.0, 1.0], k=2)
+
+
+# ---------------------------------------------------------------------------
+# aligned_classes
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=6), st.integers(-1, 1))
+def test_aligned_classes_pairs_the_classes_non_empty_on_both_sides(sizes, extra):
+    # Source classes as feature parts, target classes as row indices; ``extra``
+    # adds a target class or drops one.
+    source = [np.zeros((n, 2)) for n, _ in sizes]
+    target = [np.arange(m) for _, m in sizes]
+    if extra > 0:
+        target.append(np.arange(1))
+    elif extra < 0 and target:
+        target.pop()
+    if len(source) != len(target):
+        with pytest.raises(ValueError, match="^source and target class lists differ in length$"):
+            aligned_classes(source, target)
+        return
+    aligned, skipped = aligned_classes(source, target)
+    assert aligned == [c for c, (n, m) in enumerate(sizes) if n and m]
+    assert skipped == tuple(c for c, (n, m) in enumerate(sizes) if not (n and m))
+    assert sorted(aligned + list(skipped)) == list(range(len(sizes)))
 
 
 # ---------------------------------------------------------------------------
