@@ -18,7 +18,6 @@ therefore compares partial bounds only.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
@@ -131,9 +130,8 @@ def delta_c(parts: Sequence[np.ndarray]) -> float:
 
     Four times the square root of the largest per-part empirical
     covariance trace. The parts share one feature space; parts with fewer
-    than two samples contribute zero. A part whose covariance overflows is
-    redone in units of the power of two at its scale; a value past float64
-    raises.
+    than two samples contribute zero. Each part is taken in units of
+    ``2**ot._scale_exp(max |p|)``; a value past float64's range raises.
     """
     parts = [p for p in as_parts(parts, "parts")[0] if p.size]
     if not parts:
@@ -142,15 +140,10 @@ def delta_c(parts: Sequence[np.ndarray]) -> float:
     for p in parts:
         if p.shape[0] < 2:
             continue
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone or raises
-            k, trace = 0, float(np.atleast_2d(np.cov(p, rowvar=False)).trace())
-            if not np.isfinite(trace):
-                k = math.frexp(float(np.abs(p).max()))[1]
-                trace = float(np.atleast_2d(np.cov(np.ldexp(p, -k), rowvar=False)).trace())
-            worst = max(worst, float(np.ldexp(np.sqrt(trace), k)))
-    if not np.isfinite(4.0 * worst):
-        raise ValueError("delta_c overflows float64")
-    return 4.0 * worst
+        k = ot._scale_exp(np.abs(p).max())
+        trace = np.atleast_2d(np.cov(np.ldexp(p, -k), rowvar=False)).trace()
+        worst = max(worst, ot._unscale(4.0 * np.sqrt(trace), k, "delta_c"))
+    return worst
 
 
 def split_by_class(features: np.ndarray, labels: np.ndarray, k: int) -> list:

@@ -326,6 +326,8 @@ def loss_classification_weighted(
         raise ValueError("class weight length does not match the logits")
     if np.any(w_s.w < weight_floor):
         raise ValueError("degenerate source weight")
+    if ratio_cap is not None and not ratio_cap > 0:
+        raise ValueError("ratio_cap must be positive")
     ratios = w_t.w / w_s.w
     if ratio_cap is not None:
         ratios = np.minimum(ratios, ratio_cap)

@@ -41,7 +41,7 @@ import numpy as np
 from .weights import ClassWeights, aligned_classes, as_features, as_parts, as_simplex, class_rows
 
 PSD_TOL = 1e-9
-W2_EXP = 200  # gaussian_w2 rescales a pair whose scale is past 2**±this
+SCALE_EXP = 200  # gaussian_w2, delta_c and w1_exact_1d work in units of 2**k past 2**±this
 SCALING_BOUND = 1e20  # sinkhorn absorbs a scaling once |log u| or |log v| > 46
 EPS_FACTOR = 4  # sinkhorn's ε-scaling divides reg by this from stage to stage,
 EPS_START = 64  # starting at the smallest such reg with max(C)/reg at most this;
@@ -259,8 +259,9 @@ def w1_exact_1d(samples_a, samples_b) -> float:
     """Exact Wasserstein-1 distance between two 1-D empirical distributions.
 
     Integrates ``|F - G|`` between the two empirical CDFs over the merged
-    sorted samples, which is exact for any pair of sample counts. A cloud
-    with more than one column raises.
+    sorted samples, which is exact for any pair of sample counts, in units
+    of ``2**_scale_exp(max |x|)``. A W1 past float64's range raises, as does
+    a cloud with more than one column.
     """
     a, b = (as_features(np.reshape(x, (-1, 1)) if np.ndim(x) < 2 else x, name)
             for x, name in ((samples_a, "samples_a"), (samples_b, "samples_b")))
@@ -272,7 +273,8 @@ def w1_exact_1d(samples_a, samples_b) -> float:
     grid = np.sort(np.concatenate([a, b]))
     cdf_a = np.searchsorted(a, grid[:-1], side="right") / a.size
     cdf_b = np.searchsorted(b, grid[:-1], side="right") / b.size
-    return float(np.sum(np.abs(cdf_a - cdf_b) * np.diff(grid)))
+    k = _scale_exp(max(-grid[0], grid[-1]))
+    return _unscale(np.sum(np.abs(cdf_a - cdf_b) * np.diff(np.ldexp(grid, -k))), k, "W1")
 
 
 def ot_exact_discrete(cost_matrix, a, b) -> TransportPlan:
@@ -773,11 +775,20 @@ def _spd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def _scale_exp(gap: float, cov_top: float) -> int:
-    """The power of two in whose units a Gaussian problem is solved: the
-    exponent of ``max(gap, sqrt(cov_top))`` if past ``2**±W2_EXP``, else 0."""
-    k = math.frexp(max(gap, math.sqrt(cov_top)))[1]
-    return k if abs(k) > W2_EXP else 0
+def _scale_exp(scale: float) -> int:
+    """The power of two in whose units a problem of this scale is solved, exactly:
+    the exponent of ``scale`` if past ``2**±SCALE_EXP``, else 0."""
+    k = math.frexp(scale)[1]
+    return k if abs(k) > SCALE_EXP else 0
+
+
+def _unscale(value, k: int, what: str) -> float:
+    """``value`` in units of ``2**k`` back in float64; past its range raises."""
+    with np.errstate(over="ignore"):
+        value = float(np.ldexp(value, k))
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows float64")
+    return value
 
 
 def gaussian_w2(p: GaussianComponent, q: GaussianComponent) -> float:
@@ -788,7 +799,7 @@ def gaussian_w2(p: GaussianComponent, q: GaussianComponent) -> float:
     inside the analytic mixture distance.
 
     W2 scales with the mean gap and the covariances' square roots, so a pair
-    whose larger scale is past ``2**±W2_EXP`` is solved in units of the
+    whose larger scale is past ``2**±SCALE_EXP`` is solved in units of the
     power of two at that scale, where its products neither overflow nor
     underflow; other pairs are solved as given. Negative eigenvalues of the
     cross term count as zero, so the value is the same in either order.
@@ -799,25 +810,21 @@ def gaussian_w2(p: GaussianComponent, q: GaussianComponent) -> float:
     with np.errstate(over="ignore"):  # a mean gap past float64 raises below
         diff = p.mean - q.mean
     cov_top = max(np.abs(c.covariance).max(initial=0.0) for c in (p, q))
-    k = _scale_exp(np.abs(diff).max(initial=0.0), cov_top)
+    k = _scale_exp(max(np.abs(diff).max(initial=0.0), math.sqrt(cov_top)))
     diff = np.ldexp(diff, -k)
     cov_p, cov_q = np.ldexp(p.covariance, -2 * k), np.ldexp(q.covariance, -2 * k)
     mean_sq = float(np.sum(diff**2))
     root_p = _spd_sqrt(cov_p)
     cross = _spd_sqrt(root_p @ cov_q @ root_p)
     bures = float(np.trace(cov_p) + np.trace(cov_q) - 2.0 * np.trace(cross))
-    with np.errstate(over="ignore"):
-        value = np.ldexp(np.sqrt(max(mean_sq + bures, 0.0)), k)
-    if not np.isfinite(value):
-        raise ValueError("W2 between the Gaussians overflows float64")
-    return float(value)
+    return _unscale(np.sqrt(max(mean_sq + bures, 0.0)), k, "W2 between the Gaussians")
 
 
 def sample_gaussian(comp: GaussianComponent, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n samples from one Gaussian component. A covariance whose
-    scale is past ``2**±W2_EXP`` is factored in units of that power of two,
+    scale is past ``2**±SCALE_EXP`` is factored in units of that power of two,
     as in :func:`gaussian_w2`."""
-    k = _scale_exp(0.0, np.abs(comp.covariance).max(initial=0.0))
+    k = _scale_exp(math.sqrt(np.abs(comp.covariance).max(initial=0.0)))
     cov = np.ldexp(comp.covariance, -2 * k)
     try:
         factor = np.linalg.cholesky(cov)

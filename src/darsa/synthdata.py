@@ -245,6 +245,11 @@ def make_shifted_gmm(
         sub_seed = int(rng.integers(2**31 - 1))
         xs, ys = ot.sample_gmm(src_mix, n_per_domain, sub_seed)
         xt, yt = ot.sample_gmm(tgt_mix, n_per_domain, sub_seed + 1)
+        span = math.hypot(*np.ptp(np.vstack([xs, xt]), axis=0))
+        if not math.isfinite(span * span):  # squared distances between samples would overflow
+            raise ValueError(
+                f"sigma {sigma!r} spreads the samples too far: their distances square past float64"
+            )
         source = Dataset(xs, ys, k)
         target = Dataset(xt, yt, k)
         failure = None if k == 1 else _paired_distance_audit(source, target, rng)

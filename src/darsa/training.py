@@ -212,6 +212,12 @@ def accuracy(encoder, classifier, x, labels) -> float:
     return float(np.mean(predictions == as_labels(labels, classifier.out_dim, predictions.size)))
 
 
+def _check_floor(floor: float, k: int):
+    """``estimate_target_weights``' rule: K floors must leave mass to share."""
+    if floor * k >= 1:
+        raise ValueError("floor too large for the number of classes")
+
+
 def estimate_target_weights(
     encoder_t: nn.NetworkParams,
     classifier: nn.NetworkParams,
@@ -223,9 +229,7 @@ def estimate_target_weights(
     Mean softmax probability per class over the target samples, clamped
     below at ``floor`` and renormalized onto the simplex.
     """
-    k = classifier.out_dim
-    if floor * k >= 1:
-        raise ValueError("floor too large for the number of classes")
+    _check_floor(floor, classifier.out_dim)
     _, logits, _ = apply_models(encoder_t, classifier, x_t)
     if logits.shape[0] == 0:
         raise ValueError("empty target set")
@@ -400,6 +404,8 @@ def fit(source: Dataset, target: Dataset, config: DarsaConfig, eval_labels=None)
         raise ValueError("class cardinality mismatch")
     if eval_labels is not None:
         eval_labels = as_labels(eval_labels, source.k, target.n)
+    if config.estimate_w_t and config.epochs >= 1:
+        _check_floor(config.weight_floor, source.k)
 
     rng = np.random.default_rng(config.seed)
     encoder, classifier = default_networks(source.dim, source.k, config, rng)

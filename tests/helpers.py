@@ -8,6 +8,10 @@ import pytest
 
 from darsa import ot
 
+# A test that overflows the network's forward or backward pass on purpose
+# ignores the RuntimeWarnings darsa.nn raises there, and only those.
+NN_OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning:darsa.nn")
+
 
 def fd_gradient(func, x, h=1e-5):
     """Central finite differences of a scalar function w.r.t. array x.

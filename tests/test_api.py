@@ -265,6 +265,19 @@ INPUT_CHECKS = {
         ),
         "class weight length does not match the logits",
     ),
+    "loss_classification_weighted[ratio_cap=-1]": (
+        lambda: nn.loss_classification_weighted(
+            np.zeros((3, 2)), [0, 1, 0], ClassWeights(HALF), ClassWeights(HALF), ratio_cap=-1
+        ),
+        "ratio_cap must be positive",
+    ),
+    "loss_classification_weighted[ratio_cap=nan]": (
+        lambda: nn.loss_classification_weighted(
+            np.zeros((3, 2)), [0, 1, 0], ClassWeights(HALF), ClassWeights(HALF),
+            ratio_cap=float("nan"),
+        ),
+        "ratio_cap must be positive",
+    ),
     "loss_inter[lengths]": (
         lambda: nn.loss_inter([X], [X, X]), "source and target class lists differ in length"
     ),
@@ -289,6 +302,11 @@ INPUT_CHECKS = {
     ),
     "fit[unlabeled]": (
         lambda: training.fit(UNLABELED, LABELED, DarsaConfig()), "source dataset must be labeled"
+    ),
+    # An input error, checked before pretraining.
+    "fit[weight_floor]": (
+        lambda: training.fit(LABELED, LABELED, DarsaConfig(weight_floor=0.5)),
+        "floor too large for the number of classes",
     ),
     "fit[dim]": (
         lambda: training.fit(LABELED, Dataset(np.zeros((3, 3)), None, 2), DarsaConfig()),

@@ -1,10 +1,12 @@
 """Tests for the generalization-bound estimators."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darsa import ot
@@ -164,6 +166,45 @@ def test_delta_c_past_the_square_of_float64_scales_by_powers_of_two():
     assert value == 2.0**600 * delta_c([p / 2.0**600 for p in parts])
     with pytest.raises(ValueError, match="delta_c overflows float64"):
         delta_c([np.array([[1e308], [-1e308]])])
+    # Near 1e-170 the squared deviations would underflow to a slack of 0.
+    tiny = 1e-170 * rng.standard_normal((50, 1))
+    assert delta_c([tiny]) == math.ldexp(delta_c([np.ldexp(tiny, 565)]), -565) > 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), e=st.integers(-10, 23),
+       j=st.integers(-1000, 1000))
+@example(seed=9, d=1, e=23, j=1000)  # both values pass float64
+def test_delta_c_and_w1_exact_1d_scale_by_powers_of_two_exactly(seed, d, e, j):
+    # Both values are homogeneous of degree one, and both are computed in units
+    # of a power of two at the inputs' scale, where scaling is exact. So the
+    # value at 2**j times the inputs is 2**j times the value while that is a
+    # normal float, and past float64 it raises; nothing warns. The inputs are
+    # multiples of 2**-22 below 2**24, so times 2**j they stay normal floats.
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        values = np.round(np.ldexp(rng.standard_normal(shape), e + 22))
+        return np.ldexp(np.clip(values, 1 - 2.0**46, 2.0**46 - 1), -22)
+
+    cases = [
+        ("delta_c", lambda *parts: delta_c(list(parts)),
+         [draw(rng.integers(1, 9), d) for _ in range(rng.integers(1, 4))]),
+        ("W1", w1_exact_1d, [draw(rng.integers(1, 21)) for _ in range(2)]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for what, func, args in cases:
+            value = func(*args)
+            scaled = [np.ldexp(a, j) for a in args]
+            try:
+                expected = math.ldexp(value, j)
+            except OverflowError:
+                with pytest.raises(ValueError, match=f"^{what} overflows float64$"):
+                    func(*scaled)
+                continue
+            if expected == 0.0 or expected >= np.finfo(float).tiny:
+                assert func(*scaled) == expected
 
 
 # ---------------------------------------------------------------------------

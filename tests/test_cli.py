@@ -17,6 +17,7 @@ from darsa.bounds import bound_report
 from darsa.cli import _TASKS, _task_datasets, main
 from darsa.synthdata import Dataset, make_figure1_task, make_shifted_gmm
 from darsa.training import DarsaConfig, DarsaModels, default_networks
+from helpers import NN_OVERFLOWS
 
 SCHEMA_DIR = Path(darsa.__file__).parent / "schemas"
 
@@ -124,6 +125,31 @@ def test_ot_exact1d_rejects_two_column_csv(tmp_path, capsys):
     code = main(["ot", str(tmp_path / "a.csv"), str(tmp_path / "a.csv"), "--method", "exact1d"])
     assert code == 2
     assert "exact1d requires one-dimensional clouds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cloud_a, cloud_b",
+    [([-1e308, 1e308], [-1e308, 1e308]), ([-1e308], [1e308])],
+    ids=["identical", "far"],
+)
+def test_ot_exact1d_near_the_float64_limit(tmp_path, capsys, cloud_a, cloud_b):
+    # Differences of the points overflow, but the first W1 is 0; the second
+    # is past float64, an input error.
+    for name, cloud in (("a", cloud_a), ("b", cloud_b)):
+        Dataset(np.array(cloud)[:, None], None, 1).to_csv(tmp_path / f"{name}.csv")
+    argv = ["ot", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--method", "exact1d"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    captured = capsys.readouterr()
+    if cloud_a == cloud_b:
+        assert code == 0
+        out = json.loads(captured.out)
+        validate(out, "ot_result.schema.json")
+        assert out["value"] == 0.0
+    else:
+        assert code == 2
+        assert "W1 overflows float64" in captured.err
 
 
 def test_ot_exact_method_small_clouds(tmp_path, capsys):
@@ -326,6 +352,7 @@ def test_bounds_checkpoint_format_version_exits_two(figure1_csvs, tmp_path, caps
     assert f"unsupported checkpoint format version {expected}" in capsys.readouterr().err
 
 
+@NN_OVERFLOWS
 def test_bounds_non_finite_checkpoint_output_exits_two(figure1_csvs, tmp_path, capsys):
     # Finite but huge classifier weights overflow to non-finite logits, whose
     # argmax would be no prediction.
@@ -481,24 +508,28 @@ def test_train_seed_override_changes_metrics(tmp_path):
 @pytest.mark.parametrize(
     "document, where",
     [
-        (None, "epoch"),
+        pytest.param(None, "epoch", marks=NN_OVERFLOWS),
         # One pretraining step leaves huge but finite weights; the epoch-1
         # target-weight estimate is the first thing to overflow.
-        ({"task": {"name": "figure1", "n_per_domain": 100},
-          "darsa": {"lr": 1e200, "epochs": 1, "pretrain_epochs": 1}}, "epoch 1, batch -1"),
+        pytest.param({"task": {"name": "figure1", "n_per_domain": 100},
+                      "darsa": {"lr": 1e200, "epochs": 1, "pretrain_epochs": 1}},
+                     "epoch 1, batch -1", marks=NN_OVERFLOWS),
         # At lr 1e300 the pretrained networks give a non-finite output instead.
-        ({"task": {"name": "figure1", "n_per_domain": 100},
-          "darsa": {"lr": 1e300, "epochs": 1, "pretrain_epochs": 1}},
-         "epoch 1, batch -1: non-finite network output"),
+        pytest.param({"task": {"name": "figure1", "n_per_domain": 100},
+                      "darsa": {"lr": 1e300, "epochs": 1, "pretrain_epochs": 1}},
+                     "epoch 1, batch -1: non-finite network output", marks=NN_OVERFLOWS),
         # Two-row snapshot subsamples that share no class leave the bound no
         # aligned sub-domain.
         ({"task": {"name": "figure1", "n_per_domain": 50},
           "darsa": {"epochs": 1, "pretrain_epochs": 1, "snapshot_max": 2}},
          "epoch 1, batch -1: the snapshot subsamples share no class; snapshot_max is 2"),
-        # Its margin overflows the hinge term; the mean loss was written as Infinity.
-        ({"task": {"name": "figure1", "n_per_domain": 40},
-          "darsa": {"epochs": 1, "pretrain_epochs": 1, "margin": 1e308}},
-         "epoch 1, batch -1: non-finite epoch loss l_intra"),
+        # Its margin overflows the hinge term's sum, which numpy reports from
+        # its own module; the mean loss was written as Infinity.
+        pytest.param({"task": {"name": "figure1", "n_per_domain": 40},
+                      "darsa": {"epochs": 1, "pretrain_epochs": 1, "margin": 1e308}},
+                     "epoch 1, batch -1: non-finite epoch loss l_intra",
+                     marks=[NN_OVERFLOWS, pytest.mark.filterwarnings(
+                         "ignore::RuntimeWarning:numpy._core._methods")]),
     ],
     ids=["step", "estimate", "output", "snapshot", "loss"],
 )
@@ -523,6 +554,8 @@ def test_train_failure_exit_code(tmp_path, capsys, document, where):
         ({"sinkhorn_reg": float("nan")}, "invalid darsa config: sinkhorn_reg must be finite"),
         ({"lr": float("inf")}, "invalid darsa config: lr must be finite"),
         ({"feature_dim": 0}, "feature_dim must be positive"),
+        # Two classes cannot each keep more than half the weight.
+        ({"weight_floor": 0.5}, "floor too large for the number of classes"),
     ],
 )
 def test_train_bad_config_value_exits_two(tmp_path, capsys, bad, message):
@@ -740,6 +773,7 @@ def test_sigma_with_overflowing_square_exits_two(tmp_path, capsys, argv):
 
 NOT_FINITE = "scale parameters must be positive and finite"
 TOO_FAR = "mean_separation"  # the overflow message names both scale parameters
+TOO_SPREAD = "sigma 5e+152 spreads the samples too far"
 
 
 @pytest.mark.parametrize(
@@ -752,11 +786,14 @@ TOO_FAR = "mean_separation"  # the overflow message names both scale parameters
         (["gen", "--separation", "1e155"], TOO_FAR),
         (["gen", "--separation", "1e308"], TOO_FAR),
         (["gen", "--shift", "1e155"], TOO_FAR),
+        # The means square within float64, but samples a few sigma out do not.
+        (["gen", "--separation", "9e153", "--sigma", "5e152"], TOO_SPREAD),
         (["train"], NOT_FINITE),
         (["make_shifted_gmm"], TOO_FAR),
     ],
     ids=["shift-nan", "shift-inf", "separation-nan", "separation-inf", "separation-1e155",
-         "separation-1e308", "shift-1e155", "train-shift-nan", "make_shifted_gmm"],
+         "separation-1e308", "shift-1e155", "sigma-5e152", "train-shift-nan",
+         "make_shifted_gmm"],
 )
 def test_gmm_scale_not_finite_or_overflowing_exits_two(tmp_path, capsys, argv, message):
     # A NaN shift was read as no shift and written into manifest.json as NaN,

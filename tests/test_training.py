@@ -30,7 +30,7 @@ from darsa.training import (
     pretrain,
 )
 from darsa.weights import ClassWeights
-from helpers import fd_gradient, max_rel_error
+from helpers import NN_OVERFLOWS, fd_gradient, max_rel_error
 
 SCHEMA_DIR = Path(darsa.__file__).parent / "schemas"
 
@@ -128,6 +128,7 @@ def test_accuracy_labels_must_cover_the_rows():
         accuracy(encoder, encoder, x, [0])
 
 
+@NN_OVERFLOWS
 def test_non_finite_network_output_raises():
     # Finite weights of 1e300 overflow to logits inf and inf - inf = NaN;
     # argmax of those is no prediction.
@@ -269,6 +270,7 @@ def test_fit_record_count_matches_epochs():
     assert [r.epoch for r in metrics.records] == [1, 2, 3, 4]
 
 
+@NN_OVERFLOWS
 def test_fit_gradient_blowup_reports_epoch():
     source, target = make_figure1_task(0.05, 120, seed=15)
     config = DarsaConfig(**{**QUICK, "lr": 1e200, "pretrain_epochs": 0}, seed=16)
