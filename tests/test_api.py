@@ -109,9 +109,11 @@ def _scipy_loaded_after(code):
 @pytest.mark.parametrize("module", ["darsa", "darsa.cli"])
 def test_import_leaves_scipy_unloaded(module):
     # Each scipy piece is imported on first use by the solve that needs it
-    # (cdist for a cost with two or more columns, logsumexp for an opening
-    # that underflows, linprog for the exact LP); loading scipy with the
-    # package would add its import time to every CLI call.
+    # (cdist's compiled Euclidean kernel alone for a cost with two or more
+    # columns, about 10 ms and 1.5 MB against 0.2-0.3 s and 30 MB for all of
+    # scipy.spatial, with scipy 1.17 on one Xeon core; logsumexp for an
+    # opening that underflows; linprog for the exact LP); loading scipy with
+    # the package would add its import time to every CLI call.
     assert _scipy_loaded_after(f"import {module}") == []
 
 
@@ -125,7 +127,39 @@ def test_one_dimensional_commands_leave_scipy_unloaded(tmp_path):
     for name in ("a", "b"):
         np.savetxt(tmp_path / f"{name}.csv", rng.normal(size=(20, 2)), delimiter=",",
                    header="f0,f1", comments="")
-    assert "scipy.spatial" in cli("ot", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"))
+    # Two columns load cdist's Euclidean kernel, not the scipy.spatial package
+    # with its kd-tree, qhull and scipy.sparse.
+    two_d = [
+        cli("ot", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")),
+        _scipy_loaded_after(
+            "import darsa\n"
+            "source, target = darsa.make_shifted_gmm(2, 2, 1.0, 0.5, darsa.ClassWeights.uniform(2),"
+            " darsa.ClassWeights.uniform(2), 40, 0.3, seed=0)\n"
+            "darsa.fit(source, target, darsa.DarsaConfig(pretrain_epochs=1, epochs=1, seed=0))"),
+    ]
+    for loaded in two_d:
+        assert "scipy.spatial._distance_pybind" in loaded
+        assert "scipy.spatial" not in loaded and "scipy.sparse" not in loaded
+
+
+def test_cost_kernel_is_the_module_scipy_spatial_imports():
+    # The kernel is registered under its own name: a later import of
+    # scipy.spatial reuses that module object, and cdist gives the same bytes,
+    # also when eight threads make their first cost at once.
+    _scipy_loaded_after(
+        "import sys, threading\nimport numpy as np\nfrom darsa import ot\n"
+        "x = np.random.default_rng(0).normal(size=(9, 2))\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "costs = []\n"
+        "threads = [threading.Thread(target=lambda: costs.append(ot.euclidean_cost_matrix(x, x[:4])))"
+        " for _ in range(8)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(timeout=60)\n"
+        "assert len(costs) == 8\n"
+        "from scipy.spatial import distance\n"
+        "assert distance._distance_pybind is sys.modules['scipy.spatial._distance_pybind']\n"
+        "assert all(c.tobytes() == distance.cdist(x, x[:4]).tobytes() for c in costs)"
+    )
 
 
 HALF = [0.5, 0.5]

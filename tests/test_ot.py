@@ -1,8 +1,13 @@
 """Tests for the optimal-transport solvers and Gaussian-mixture distances."""
 
+import importlib.machinery
 import math
+import re
+import sys
 import tracemalloc
 import warnings
+from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,11 +68,9 @@ FIGURE1_TARGET = GaussianMixture(
 
 # Coordinates of magnitude 1e-170 to 1e200, either sign: differences whose
 # squares overflow to inf, are subnormal, or underflow to zero.
-COORDS_1D = st.lists(
-    st.builds(lambda sign, exp: sign * 10.0**exp, st.sampled_from([-1.0, 1.0]),
-              st.floats(-170.0, 200.0)),
-    min_size=1, max_size=40,
-)
+COORD = st.builds(lambda sign, exp: sign * 10.0**exp, st.sampled_from([-1.0, 1.0]),
+                  st.floats(-170.0, 200.0))
+COORDS_1D = st.lists(COORD, min_size=1, max_size=40)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -88,11 +91,43 @@ def test_cost_matrix_1d_inf_and_subnormal_square():
     assert cost[0, 0] == np.inf and 0.0 < cost[1, 1] ** 2 < np.finfo(float).tiny
 
 
-@pytest.mark.parametrize("d", [2, 3, 7])
-def test_cost_matrix_multi_column_equals_cdist(d):
-    rng = np.random.default_rng(d)
-    x, y = rng.normal(size=(30, d)) * 1e100, rng.normal(size=(17, d))
-    assert np.array_equal(euclidean_cost_matrix(x, y), cdist(x, y))
+def _laid_out(rows, layout):
+    """``rows`` as a C-ordered or Fortran-ordered array, or as every other
+    column of a wider one (not contiguous, and not copied by ``as_features``)."""
+    x = np.array(rows)
+    if layout == "sliced":
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+        wide[:, ::2] = x
+        return wide[:, ::2]
+    return np.asarray(x, order=layout)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.integers(2, 9))
+def test_cost_matrix_multi_column_equals_cdist(data, d):
+    # Two or more columns go to cdist's own Euclidean kernel, so the bytes are
+    # cdist's for any layout: inf where a square overflows, subnormal squares
+    # kept, and no RuntimeWarning.
+    rows = st.lists(st.lists(COORD, min_size=d, max_size=d), min_size=1, max_size=20)
+    x, y = (_laid_out(data.draw(rows), data.draw(st.sampled_from(["C", "F", "sliced"])))
+            for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cost = euclidean_cost_matrix(x, y)
+    expected = cdist(x, y)
+    assert cost.dtype == expected.dtype and cost.shape == expected.shape
+    assert cost.tobytes() == expected.tobytes()
+
+
+def test_cost_matrix_without_the_kernel_module_raises(monkeypatch):
+    # There is no second path through cdist: a scipy without the kernel's
+    # module says which module and which scipy.
+    name, find_spec = "scipy.spatial._distance_pybind", importlib.machinery.PathFinder.find_spec
+    monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda fullname, *args: None if fullname == name else find_spec(fullname, *args))
+    with pytest.raises(ImportError, match=rf"^{re.escape(name)} not found in scipy \d"):
+        euclidean_cost_matrix(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +172,32 @@ def test_w1_exact_1d_unequal_lengths_symmetric():
     a, b = rng.normal(size=37), rng.normal(size=61) + 0.5
     assert w1_exact_1d(a, b) == w1_exact_1d(b, a)
     assert w1_exact_1d(a, a[:20]) >= 0.0
+
+
+def _rational_w1(xs, ys):
+    """The W1 of two 1-D samples in exact rational arithmetic: the integral of
+    |F - G| over the merged sorted samples."""
+    xs, ys = sorted(map(Fraction, xs)), sorted(map(Fraction, ys))
+    grid = sorted(xs + ys)
+    return sum(abs(Fraction(bisect_right(xs, t), len(xs)) - Fraction(bisect_right(ys, t), len(ys)))
+               * (u - t) for t, u in zip(grid, grid[1:]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(COORDS_1D, COORDS_1D)
+@example([1e-300, 2e-300, 1e308], [1e-300, 3e-300, 1e308])  # 2**1024 units would flush 1e-300
+@example([1e-250, 2e-250, 1e61], [1e-250, 3e-250, 1e61])  # 2**203 units would round 1e-250
+def test_w1_exact_1d_keeps_tiny_samples_next_to_huge_ones(xs, ys):
+    # Only a tiny cloud, or one whose span overflows float64, is scaled by a
+    # power of two, so no sample is flushed here. |F - G| is 0 or at least
+    # 1/(n m), so each term |F - G| dx carries a relative error of at most
+    # (n m + 2) eps, and the sum of these nonnegative terms adds (n + m) eps.
+    n, m = len(xs), len(ys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = w1_exact_1d(xs, ys)
+    expected = float(_rational_w1(xs, ys))
+    assert math.isclose(value, expected, rel_tol=(n * m + n + m + 2) * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("n, m, seed", [(3, 2, 0), (7, 4, 1), (5, 12, 2)])
