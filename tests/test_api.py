@@ -111,26 +111,33 @@ def test_import_leaves_scipy_unloaded(module):
     # Each scipy piece is imported on first use by the solve that needs it
     # (cdist's compiled Euclidean kernel alone for a cost with two or more
     # columns, about 10 ms and 1.5 MB against 0.2-0.3 s and 30 MB for all of
-    # scipy.spatial, with scipy 1.17 on one Xeon core; logsumexp for an
-    # opening that underflows; linprog for the exact LP); loading scipy with
-    # the package would add its import time to every CLI call.
+    # scipy.spatial; HiGHS's compiled core alone for the exact LP, 15-25 ms
+    # and 6 MB against 0.35-0.55 s and 45 MB for scipy.optimize; both with scipy
+    # 1.17 on one Xeon core; logsumexp for an opening that underflows);
+    # loading scipy with the package would add its import time to every CLI call.
     assert _scipy_loaded_after(f"import {module}") == []
 
 
-def test_one_dimensional_commands_leave_scipy_unloaded(tmp_path):
-    def cli(*argv):
-        return _scipy_loaded_after(f"from darsa.cli import main\nassert main({list(argv)!r}) == 0")
+def _cli_loads(*argv):
+    """The scipy modules loaded once ``darsa <argv>`` has run in a fresh interpreter."""
+    return _scipy_loaded_after(f"from darsa.cli import main\nassert main({list(argv)!r}) == 0")
 
-    assert cli("figure1", "--n", "50", "--out", str(tmp_path / "figure1")) == []
-    assert cli("gen", "--task", "figure1", "--out", str(tmp_path / "gen")) == []
+
+def _two_d_clouds(tmp_path, rows):
     rng = np.random.default_rng(0)
     for name in ("a", "b"):
-        np.savetxt(tmp_path / f"{name}.csv", rng.normal(size=(20, 2)), delimiter=",",
+        np.savetxt(tmp_path / f"{name}.csv", rng.normal(size=(rows, 2)), delimiter=",",
                    header="f0,f1", comments="")
+    return str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+
+
+def test_one_dimensional_commands_leave_scipy_unloaded(tmp_path):
+    assert _cli_loads("figure1", "--n", "50", "--out", str(tmp_path / "figure1")) == []
+    assert _cli_loads("gen", "--task", "figure1", "--out", str(tmp_path / "gen")) == []
     # Two columns load cdist's Euclidean kernel, not the scipy.spatial package
     # with its kd-tree, qhull and scipy.sparse.
     two_d = [
-        cli("ot", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")),
+        _cli_loads("ot", *_two_d_clouds(tmp_path, 20)),
         _scipy_loaded_after(
             "import darsa\n"
             "source, target = darsa.make_shifted_gmm(2, 2, 1.0, 0.5, darsa.ClassWeights.uniform(2),"
@@ -162,6 +169,77 @@ def test_cost_kernel_is_the_module_scipy_spatial_imports():
     )
 
 
+def test_exact_transport_loads_only_the_highs_core(tmp_path):
+    # The exact LP loads HiGHS's compiled core, not the scipy.optimize package
+    # with linprog's input handling, scipy.sparse and scipy.linalg.
+    exact = [
+        _cli_loads("ot", "--method", "exact", *_two_d_clouds(tmp_path, 64)),
+        _scipy_loaded_after(
+            "import darsa\n"
+            "mix = darsa.GaussianMixture(darsa.ClassWeights([0.3, 0.7]), (darsa.GaussianComponent("
+            "[0.0], [[1.0]]), darsa.GaussianComponent([2.0], [[0.5]])))\n"
+            "darsa.mw1_gmm(mix, darsa.GaussianMixture(darsa.ClassWeights([0.6, 0.4]),"
+            " mix.components))"),
+    ]
+    for loaded in exact:
+        assert "scipy.optimize._highspy._core" in loaded
+        assert not {"scipy.optimize", "scipy.sparse", "scipy.linalg"} & set(loaded)
+
+
+def test_highs_core_is_the_module_scipy_optimize_imports():
+    # The core is registered under its own name: a later import of
+    # scipy.optimize reuses that module object, and linprog gives the same
+    # bytes, also when eight threads make their first exact solve at once.
+    _scipy_loaded_after(
+        "import sys, threading\nimport numpy as np\nfrom darsa import ot\n"
+        "rng = np.random.default_rng(0)\n"
+        "cost, a, b = rng.random((6, 4)), rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(4))\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "plans = []\n"
+        "solve = lambda: plans.append(ot.ot_exact_discrete(cost, a, b))\n"
+        "threads = [threading.Thread(target=solve) for _ in range(8)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(timeout=60)\n"
+        "assert len(plans) == 8\n"
+        "core = sys.modules['scipy.optimize._highspy._core']\n"
+        "from scipy.optimize import linprog\n"
+        "from scipy.optimize._highspy import _highs_wrapper\n"
+        "assert _highs_wrapper._h is core\n"
+        "res = linprog(cost.ravel(), A_eq=np.vstack([np.kron(np.eye(6), np.ones((1, 4))),"
+        " np.kron(np.ones((1, 6)), np.eye(4))]), b_eq=np.concatenate([a, b]), method='highs')\n"
+        "x = np.maximum(res.x.reshape(6, 4), 0.0)\n"
+        "assert all(p.coupling.tobytes() == x.tobytes() for p in plans)"
+    )
+
+
+@pytest.mark.parametrize("name, attr", [("scipy.spatial._distance_pybind", "cdist_euclidean"),
+                                        ("scipy.optimize._highspy._core", "_Highs")])
+def test_concurrent_first_loads_run_the_extension_once(name, attr):
+    # A slow exec_module holds the first load open while seven more threads ask
+    # for the module: they wait for it instead of loading copies of their own.
+    _scipy_loaded_after(
+        "import importlib.machinery, sys, threading, time\nfrom darsa import ot\n"
+        f"name = {name!r}\n"
+        "loader, runs = importlib.machinery.ExtensionFileLoader, []\n"
+        "exec_module = loader.exec_module\n"
+        "def slow(self, module):\n"
+        "    if self.name == name:\n"
+        "        runs.append(name)\n"
+        "        time.sleep(0.2)\n"
+        "    exec_module(self, module)\n"
+        "loader.exec_module = slow\n"
+        "barrier, modules = threading.Barrier(8), []\n"
+        "def load():\n"
+        "    barrier.wait()\n"
+        "    modules.append(ot._scipy_extension(name))\n"
+        "threads = [threading.Thread(target=load) for _ in range(8)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(timeout=60)\n"
+        "assert runs == [name] and len(modules) == 8\n"
+        f"assert all(m is sys.modules[name] and hasattr(m, {attr!r}) for m in modules)"
+    )
+
+
 HALF = [0.5, 0.5]
 X = np.zeros((3, 2))
 POINT = GaussianComponent([0.0], [[1.0]])
@@ -189,7 +267,8 @@ def _backward_wrong_shape():
 # Each input check that no other test reaches: the call, and the whole
 # message it raises. The checks that read a CSV file are in test_cli.py.
 # Left out: a HiGHS failure in ot_exact_discrete (the transport LP of a
-# finite cost and valid marginals is feasible and bounded).
+# finite cost and valid marginals is feasible and bounded), which test_ot.py
+# raises through a stubbed HiGHS core.
 INPUT_CHECKS = {
     "GaussianComponent[shape]": (
         lambda: GaussianComponent([0.0, 0.0], [[1.0]]),

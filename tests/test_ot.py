@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tracemalloc
+import types
 import warnings
 from bisect import bisect_right
 from fractions import Fraction
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
@@ -119,15 +120,20 @@ def test_cost_matrix_multi_column_equals_cdist(data, d):
     assert cost.tobytes() == expected.tobytes()
 
 
-def test_cost_matrix_without_the_kernel_module_raises(monkeypatch):
-    # There is no second path through cdist: a scipy without the kernel's
-    # module says which module and which scipy.
-    name, find_spec = "scipy.spatial._distance_pybind", importlib.machinery.PathFinder.find_spec
+@pytest.mark.parametrize("name, solve", [
+    ("scipy.spatial._distance_pybind",
+     lambda: euclidean_cost_matrix(np.zeros((2, 2)), np.zeros((3, 2)))),
+    ("scipy.optimize._highspy._core", lambda: ot_exact_discrete([[1.0]], [1.0], [1.0])),
+], ids=["cost", "exact"])
+def test_solve_without_its_compiled_scipy_module_raises(monkeypatch, name, solve):
+    # There is no second path through cdist or linprog: a scipy without the
+    # compiled module says which module and which scipy.
+    find_spec = importlib.machinery.PathFinder.find_spec
     monkeypatch.delitem(sys.modules, name)
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
                         lambda fullname, *args: None if fullname == name else find_spec(fullname, *args))
     with pytest.raises(ImportError, match=rf"^{re.escape(name)} not found in scipy \d"):
-        euclidean_cost_matrix(np.zeros((2, 2)), np.zeros((3, 2)))
+        solve()
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +273,100 @@ def test_exact_invalid_marginals():
         ot_exact_discrete([[1.0, 2.0]], [0.9], [0.5, 0.5])
     with pytest.raises(ValueError, match=r"^marginal b must sum to 1, got 0\.9$"):
         ot_exact_discrete([[1.0, 2.0]], [1.0], [0.8, 0.1])
+
+
+def _linprog_plan(cost, a, b):
+    """The transport LP in ``linprog``'s own formulation: dense row-sum and
+    column-sum blocks over the flattened plan."""
+    n, m = cost.shape
+    res = linprog(cost.ravel(), A_eq=np.vstack([np.kron(np.eye(n), np.ones((1, m))),
+                                                np.kron(np.ones((1, n)), np.eye(m))]),
+                  b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
+    assert res.success
+    coupling = np.maximum(res.x.reshape(n, m), 0.0)
+    return coupling, float(np.einsum("ij,ij->", coupling, cost))
+
+
+def _marginal(rng, size, zero_share):
+    p = rng.random(size) * (rng.random(size) >= zero_share)
+    p[rng.integers(size)] += 0.5
+    return p / p.sum()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 64), st.integers(1, 64), st.sampled_from(["random", "tied", "constant"]),
+       st.sampled_from([0.0, 0.3, 0.8]), st.integers(0, 2**32 - 1))
+@example(64, 64, "tied", 0.3, 0)
+def test_exact_plan_is_linprogs(n, m, kind, zero_share, seed):
+    # ot_exact_discrete hands HiGHS linprog's model and options itself, so its
+    # plan and cost have linprog's bytes, ties and zero-mass atoms included.
+    rng = np.random.default_rng(seed)
+    cost = {"random": lambda: rng.random((n, m)) * 10.0 ** rng.uniform(-3, 3),
+            "tied": lambda: rng.integers(0, 3, size=(n, m)).astype(float),
+            "constant": lambda: np.full((n, m), 1.5)}[kind]()
+    a, b = _marginal(rng, n, zero_share), _marginal(rng, m, zero_share)
+    plan = ot_exact_discrete(cost, a, b)
+    coupling, value = _linprog_plan(cost, a, b)
+    assert plan.coupling.tobytes() == coupling.tobytes()
+    assert plan.cost == value
+
+
+def _stub_core(monkeypatch, status=None, solution=None):
+    """Make ot_exact_discrete solve through a HiGHS core whose solver reports
+    ``status`` or returns ``solution`` (the real ones where None)."""
+    core = ot._scipy_extension("scipy.optimize._highspy._core")
+
+    class Highs:
+        def __init__(self):
+            self.real = core._Highs()
+
+        def __getattr__(self, name):
+            return getattr(self.real, name)
+
+        def getModelStatus(self):
+            return self.real.getModelStatus() if status is None else status
+
+        def getSolution(self):
+            return self.real.getSolution() if solution is None else solution
+
+    stub = types.SimpleNamespace(**{name: getattr(core, name) for name in dir(core)})
+    stub._Highs = Highs
+    monkeypatch.setattr(ot, "_scipy_extension", lambda name: stub)
+
+
+DIAGONAL = ([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("status, text", [("kInfeasible", "Infeasible"),
+                                          ("kIterationLimit", "Iteration limit reached")])
+def test_exact_raises_on_a_model_status_other_than_optimal(monkeypatch, status, text):
+    core = ot._scipy_extension("scipy.optimize._highspy._core")
+    _stub_core(monkeypatch, status=getattr(core.HighsModelStatus, status))
+    with pytest.raises(RuntimeError, match=rf"^exact transport LP failed: {text}$"):
+        ot_exact_discrete(*DIAGONAL)
+
+
+@pytest.mark.parametrize("col_value, row_value", [
+    ([0.5, np.nan, 0.0, 0.5], [0.5, 0.5, 0.5, 0.5]),
+    ([0.5, -1e-3, 1e-3, 0.5], [0.5, 0.5, 0.5, 0.5]),
+    ([0.5, 0.0, 0.0, 0.5], [0.5, 0.5, 0.5, 0.5 - 1e-3]),
+], ids=["non-finite x", "x below -tol", "residual above tol"])
+def test_exact_raises_on_a_solution_outside_linprogs_tolerance(monkeypatch, col_value, row_value):
+    # linprog's own check after HiGHS: x within tol of its bounds and every
+    # equality within tol, tol = 10 * sqrt(1e-9).
+    solution = types.SimpleNamespace(col_value=col_value, row_value=row_value)
+    _stub_core(monkeypatch, solution=solution)
+    with pytest.raises(RuntimeError, match=r"^exact transport LP failed: solution outside "
+                                           r"tolerance 3\.16e-04$"):
+        ot_exact_discrete(*DIAGONAL)
+
+
+def test_exact_keeps_a_solution_within_linprogs_tolerance(monkeypatch):
+    # A value above -tol is clipped to 0, as after linprog.
+    _stub_core(monkeypatch, solution=types.SimpleNamespace(
+        col_value=[0.5, -1e-4, 1e-4, 0.5], row_value=[0.5, 0.5, 0.5, 0.5]))
+    plan = ot_exact_discrete(*DIAGONAL)
+    assert plan.coupling.tolist() == [[0.5, 0.0], [1e-4, 0.5]]
 
 
 # ---------------------------------------------------------------------------
