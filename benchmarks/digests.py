@@ -17,8 +17,9 @@ Runs, against the darsa package under ``--src`` (default: this checkout's
 - ``darsa bounds --checkpoint`` of the ``train`` run on the figure1 files
   that ``gen`` wrote (one-column features, exact W1; the target weights come
   from the checkpoint's pseudo-labels): the same three outputs;
-- ``darsa ot --method exact`` on two 64-point 2-D CSVs drawn from one
-  generator seeded 0 (the largest LP the exact solver takes): stdout;
+- ``darsa ot --method exact`` on two 64-point 2-D CSVs, then on two
+  64-point one-column CSVs, all drawn from one generator seeded 0 (the
+  largest LP the exact solver takes): stdout;
 - ``mw1_gmm`` in analytic mode on 300 random mixture pairs (the
   ``ot-mixture`` generator of ``perfbench/workloads.py``, seeded 0): the
   ``repr`` of every value and plan;
@@ -121,9 +122,11 @@ def cli_digests(workloads):
     for name in ("boundreport.json", "bound_comparison.csv"):
         yield f"bounds-ckpt.{name}", digest(Path("bounds-ckpt", name).read_bytes())
     rng = np.random.default_rng(0)
-    for name in ("ot-a.csv", "ot-b.csv"):
-        np.savetxt(name, rng.normal(size=(64, 2)), delimiter=",", header="f0,f1", comments="")
-    yield "ot-exact.stdout", digest(cli(["ot", "--method", "exact", "ot-a.csv", "ot-b.csv"]))
+    for line, cols in (("ot-exact", 2), ("ot-exact-1d", 1)):
+        header = ",".join(f"f{j}" for j in range(cols))
+        for name in ("ot-a.csv", "ot-b.csv"):
+            np.savetxt(name, rng.normal(size=(64, cols)), delimiter=",", header=header, comments="")
+        yield f"{line}.stdout", digest(cli(["ot", "--method", "exact", "ot-a.csv", "ot-b.csv"]))
 
 
 def mixture_digest(workloads):

@@ -135,7 +135,8 @@ def cmd_ot(args) -> int:
             )
             value, residual = plan.cost, plan.marginal_residual()
         else:
-            plan, _, info = ot.uniform_plan(cloud_a, cloud_b, args.reg, args.max_iter, args.tol)
+            pair = ot._canonical_order(cloud_a, cloud_b)
+            plan, _, info = ot.uniform_plan(*pair, args.reg, args.max_iter, args.tol)
             value, residual, iterations = plan.cost, info.residual, info.iterations
     print(json.dumps({
         "method": method,

@@ -10,11 +10,10 @@ mixture-level Wasserstein distance used to compare sub-domain
 decompositions.
 
 scipy is imported where a solve needs it, never with the module. A cost
-matrix with two or more columns loads only ``cdist``'s compiled Euclidean
-kernel (about 10 ms and 1.5 MB with scipy 1.17 on one Xeon core), not
-``scipy.spatial``, whose package init (the kd-tree, qhull, ``scipy.sparse``)
-takes 0.2-0.3 s and 30 MB. A one-column cost is computed in numpy, with the
-same bytes. The exact discrete solver loads only scipy's compiled HiGHS core
+matrix loads only ``cdist``'s compiled Euclidean kernel (about 10 ms and
+1.5 MB with scipy 1.17 on one Xeon core), not ``scipy.spatial``, whose
+package init (the kd-tree, qhull, ``scipy.sparse``) takes 0.2-0.3 s and
+30 MB. The exact discrete solver loads only scipy's compiled HiGHS core
 (15-25 ms and 6 MB), not ``scipy.optimize``, whose package init (``linprog``'s
 input handling, ``scipy.sparse``, ``scipy.linalg``) takes 0.35-0.55 s and 45 MB,
 and passes it ``linprog``'s model and options. ``logsumexp`` is imported for a
@@ -272,18 +271,11 @@ def _scipy_extension(name):
 
 
 def euclidean_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances between rows of two clouds, with ``cdist``'s bytes.
-    One column is computed in numpy as ``cdist`` computes it, ``sqrt(0 + d*d)`` (an
-    overflow to inf included), and loads no scipy. More columns go to ``cdist``'s own
+    """Pairwise Euclidean distances between rows of two clouds, from ``cdist``'s own
     compiled kernel, loaded alone: about 10 ms and 1.5 MB against 0.2-0.3 s and 30 MB
     for ``scipy.spatial`` (scipy 1.17, one Xeon core)."""
     x = as_features(x, "x")
     y = as_features(y, "y", x.shape[1])
-    if x.shape[1] == 1:
-        with np.errstate(over="ignore"):
-            cost = np.subtract(x, y.T)
-            np.multiply(cost, cost, out=cost)
-            return np.sqrt(cost, out=cost)
     return _scipy_extension("scipy.spatial._distance_pybind").cdist_euclidean(x, y)
 
 
@@ -800,19 +792,20 @@ def w1_empirical(
 ) -> float:
     """Entropic estimate of W1 between two point clouds.
 
-    Euclidean ground cost, uniform marginals. Exactly symmetric in its two
-    arguments: the pair is put in a canonical order before solving (by
-    shape, then by the first value in which the clouds differ), and the
-    transport cost is invariant under transposing the plan.
+    Euclidean ground cost, uniform marginals. Exactly symmetric: the pair is
+    solved in :func:`_canonical_order`, and a transposed plan has the same cost.
     """
     x, y = as_features(x, "x"), as_features(y, "y")
     if not (x.size and y.size):
         raise ValueError("empty sample set")
-    first = np.flatnonzero(x != y)[:1] if x.shape == y.shape else []
-    if (y.shape, list(y.flat[first])) < (x.shape, list(x.flat[first])):
-        x, y = y, x
-    plan, _, _ = uniform_plan(x, y, reg, max_iter, tol, reg_mode)
+    plan, _, _ = uniform_plan(*_canonical_order(x, y), reg, max_iter, tol, reg_mode)
     return plan.cost
+
+
+def _canonical_order(x, y):
+    """The two clouds by shape, then by the first value in which they differ."""
+    first = np.flatnonzero(x != y)[:1] if x.shape == y.shape else []
+    return (y, x) if (y.shape, list(y.flat[first])) < (x.shape, list(x.flat[first])) else (x, y)
 
 
 def _pair_table(items_a, items_b, distance) -> np.ndarray:

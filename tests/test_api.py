@@ -3,6 +3,7 @@ scipy pieces each path loads, and the input checks of every module."""
 
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import darsa
-from darsa import nn, ot, synthdata, training
+from darsa import bounds, nn, ot, synthdata, training
 from darsa.bounds import BoundReport, SubdomainPartition, source_risk, subdomain_risks
 from darsa.ot import GaussianComponent, GaussianMixture
 from darsa.synthdata import Dataset
@@ -66,13 +67,13 @@ def test_fit_signature():
     ]
 
 
-def test_solves_resolve_through_ot_module(monkeypatch):
-    # A replacement of ot.sinkhorn or ot.euclidean_cost_matrix must see
-    # every empirical solve, whichever public function starts it.
+def _record_calls(monkeypatch, *targets):
+    """A list that gets ``name`` once per call of ``module.<name>``, for each
+    ``(module, name)`` of ``targets``."""
     calls = []
 
-    def recording(name):
-        original = getattr(ot, name)
+    def recording(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
@@ -80,8 +81,15 @@ def test_solves_resolve_through_ot_module(monkeypatch):
 
         return wrapper
 
-    for name in ("sinkhorn", "euclidean_cost_matrix"):
-        monkeypatch.setattr(ot, name, recording(name))
+    for module, name in targets:
+        monkeypatch.setattr(module, name, recording(module, name))
+    return calls
+
+
+def test_solves_resolve_through_ot_module(monkeypatch):
+    # A replacement of ot.sinkhorn or ot.euclidean_cost_matrix must see
+    # every empirical solve, whichever public function starts it.
+    calls = _record_calls(monkeypatch, (ot, "sinkhorn"), (ot, "euclidean_cost_matrix"))
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(12, 2)), rng.normal(size=(9, 2))
     ot.w1_empirical(x, y, reg=0.1)
@@ -90,6 +98,27 @@ def test_solves_resolve_through_ot_module(monkeypatch):
     )
     assert calls.count("sinkhorn") == 3
     assert calls.count("euclidean_cost_matrix") == 3
+
+
+def test_fit_resolves_its_pieces_at_call_time(monkeypatch):
+    # fit looks up the estimate, the step, both weighted losses and the bound
+    # report when it calls them, so a replaced module attribute sees every call.
+    calls = _record_calls(
+        monkeypatch, (training, "estimate_target_weights"), (training, "compute_step_gradients"),
+        (nn, "loss_classification_weighted"), (nn, "loss_discrepancy_weighted"),
+        (bounds, "bound_report"),
+    )
+    source, target = synthdata.make_shifted_gmm(2, 2, 1.0, 0.5, ClassWeights.uniform(2),
+                                                ClassWeights.uniform(2), 40, 0.3, seed=0)
+    config = DarsaConfig(pretrain_epochs=1, epochs=2, batch_size=32, snapshot_max=32, seed=0)
+    _, metrics = training.fit(source, target, config)
+    steps = 2 * math.ceil(source.n / 32)
+    assert len(metrics) == 2
+    assert {name: calls.count(name) for name in set(calls)} == {
+        "estimate_target_weights": 2, "compute_step_gradients": steps,
+        "loss_classification_weighted": steps, "loss_discrepancy_weighted": steps,
+        "bound_report": 2,
+    }
 
 
 def _scipy_loaded_after(code):
@@ -109,8 +138,8 @@ def _scipy_loaded_after(code):
 @pytest.mark.parametrize("module", ["darsa", "darsa.cli"])
 def test_import_leaves_scipy_unloaded(module):
     # Each scipy piece is imported on first use by the solve that needs it
-    # (cdist's compiled Euclidean kernel alone for a cost with two or more
-    # columns, about 10 ms and 1.5 MB against 0.2-0.3 s and 30 MB for all of
+    # (cdist's compiled Euclidean kernel alone for a cost matrix of any width,
+    # about 10 ms and 1.5 MB against 0.2-0.3 s and 30 MB for all of
     # scipy.spatial; HiGHS's compiled core alone for the exact LP, 15-25 ms
     # and 6 MB against 0.35-0.55 s and 45 MB for scipy.optimize; both with scipy
     # 1.17 on one Xeon core; logsumexp for an opening that underflows);
@@ -123,28 +152,30 @@ def _cli_loads(*argv):
     return _scipy_loaded_after(f"from darsa.cli import main\nassert main({list(argv)!r}) == 0")
 
 
-def _two_d_clouds(tmp_path, rows):
+def _clouds(tmp_path, rows, cols=2):
     rng = np.random.default_rng(0)
     for name in ("a", "b"):
-        np.savetxt(tmp_path / f"{name}.csv", rng.normal(size=(rows, 2)), delimiter=",",
-                   header="f0,f1", comments="")
+        np.savetxt(tmp_path / f"{name}.csv", rng.normal(size=(rows, cols)), delimiter=",",
+                   header=",".join(f"f{j}" for j in range(cols)), comments="")
     return str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
 
 
-def test_one_dimensional_commands_leave_scipy_unloaded(tmp_path):
+def test_commands_load_at_most_the_cost_kernel(tmp_path):
+    # figure1 and gen build no cost matrix.
     assert _cli_loads("figure1", "--n", "50", "--out", str(tmp_path / "figure1")) == []
     assert _cli_loads("gen", "--task", "figure1", "--out", str(tmp_path / "gen")) == []
-    # Two columns load cdist's Euclidean kernel, not the scipy.spatial package
-    # with its kd-tree, qhull and scipy.sparse.
-    two_d = [
-        _cli_loads("ot", *_two_d_clouds(tmp_path, 20)),
+    # A cost of any width loads cdist's Euclidean kernel, not the scipy.spatial
+    # package with its kd-tree, qhull and scipy.sparse.
+    with_costs = [
+        _cli_loads("ot", *_clouds(tmp_path, 20, cols=1)),
+        _cli_loads("ot", *_clouds(tmp_path, 20)),
         _scipy_loaded_after(
             "import darsa\n"
             "source, target = darsa.make_shifted_gmm(2, 2, 1.0, 0.5, darsa.ClassWeights.uniform(2),"
             " darsa.ClassWeights.uniform(2), 40, 0.3, seed=0)\n"
             "darsa.fit(source, target, darsa.DarsaConfig(pretrain_epochs=1, epochs=1, seed=0))"),
     ]
-    for loaded in two_d:
+    for loaded in with_costs:
         assert "scipy.spatial._distance_pybind" in loaded
         assert "scipy.spatial" not in loaded and "scipy.sparse" not in loaded
 
@@ -173,7 +204,7 @@ def test_exact_transport_loads_only_the_highs_core(tmp_path):
     # The exact LP loads HiGHS's compiled core, not the scipy.optimize package
     # with linprog's input handling, scipy.sparse and scipy.linalg.
     exact = [
-        _cli_loads("ot", "--method", "exact", *_two_d_clouds(tmp_path, 64)),
+        _cli_loads("ot", "--method", "exact", *_clouds(tmp_path, 64)),
         _scipy_loaded_after(
             "import darsa\n"
             "mix = darsa.GaussianMixture(darsa.ClassWeights([0.3, 0.7]), (darsa.GaussianComponent("

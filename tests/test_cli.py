@@ -100,6 +100,20 @@ def test_ot_identical_csvs(figure1_csvs, capsys):
     assert out["value"] <= 0.01 * np.log(400) + 1e-6
 
 
+def test_ot_sinkhorn_output_does_not_depend_on_the_csv_order(tmp_path, capsys):
+    # The pair is solved in one canonical order, as w1_empirical solves it, so
+    # swapping the CSVs prints the same value, iterations and residual.
+    rng = np.random.default_rng(0)
+    for name, rows in (("a", 30), ("b", 25)):
+        Dataset(rng.normal(size=(rows, 2)), None, 1).to_csv(tmp_path / f"{name}.csv")
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    outputs = []
+    for pair in ((a, b), (b, a)):
+        assert main(["ot", *pair, "--method", "sinkhorn"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_ot_exact1d_vs_sinkhorn(figure1_csvs, capsys):
     src, tgt = figure1_csvs
     values = {}

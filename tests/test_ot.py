@@ -74,19 +74,6 @@ COORD = st.builds(lambda sign, exp: sign * 10.0**exp, st.sampled_from([-1.0, 1.0
 COORDS_1D = st.lists(COORD, min_size=1, max_size=40)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(COORDS_1D, COORDS_1D)
-@example([1e200, 1e-160], [-1e200, -1e-161, 1e-170])
-def test_cost_matrix_1d_equals_cdist(xs, ys):
-    # One column is computed without scipy, with cdist's bytes: inf where
-    # the square overflows, subnormal squares kept, and no RuntimeWarning.
-    x, y = np.array(xs)[:, None], np.array(ys)[:, None]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        cost = euclidean_cost_matrix(x, y)
-    assert np.array_equal(cost, cdist(x, y))
-
-
 def test_cost_matrix_1d_inf_and_subnormal_square():
     cost = euclidean_cost_matrix([[1e200], [1e-160]], [[-1e200], [-1e-161]])
     assert cost[0, 0] == np.inf and 0.0 < cost[1, 1] ** 2 < np.finfo(float).tiny
@@ -104,12 +91,12 @@ def _laid_out(rows, layout):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.data(), st.integers(2, 9))
-def test_cost_matrix_multi_column_equals_cdist(data, d):
-    # Two or more columns go to cdist's own Euclidean kernel, so the bytes are
-    # cdist's for any layout: inf where a square overflows, subnormal squares
-    # kept, and no RuntimeWarning.
-    rows = st.lists(st.lists(COORD, min_size=d, max_size=d), min_size=1, max_size=20)
+@given(st.data(), st.integers(1, 9))
+def test_cost_matrix_equals_cdist(data, d):
+    # Every cost, one column included, comes from cdist's own Euclidean
+    # kernel, so the bytes are cdist's for any layout: inf where a square
+    # overflows, subnormal squares kept, and no RuntimeWarning.
+    rows = st.lists(st.lists(COORD, min_size=d, max_size=d), min_size=1, max_size=40)
     x, y = (_laid_out(data.draw(rows), data.draw(st.sampled_from(["C", "F", "sliced"])))
             for _ in range(2))
     with warnings.catch_warnings():
@@ -123,11 +110,13 @@ def test_cost_matrix_multi_column_equals_cdist(data, d):
 @pytest.mark.parametrize("name, solve", [
     ("scipy.spatial._distance_pybind",
      lambda: euclidean_cost_matrix(np.zeros((2, 2)), np.zeros((3, 2)))),
+    ("scipy.spatial._distance_pybind",
+     lambda: euclidean_cost_matrix(np.zeros((2, 1)), np.zeros((3, 1)))),
     ("scipy.optimize._highspy._core", lambda: ot_exact_discrete([[1.0]], [1.0], [1.0])),
-], ids=["cost", "exact"])
+], ids=["cost", "one-column-cost", "exact"])
 def test_solve_without_its_compiled_scipy_module_raises(monkeypatch, name, solve):
-    # There is no second path through cdist or linprog: a scipy without the
-    # compiled module says which module and which scipy.
+    # There is no second path through cdist, numpy or linprog: a scipy without
+    # the compiled module says which module and which scipy.
     find_spec = importlib.machinery.PathFinder.find_spec
     monkeypatch.delitem(sys.modules, name)
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
